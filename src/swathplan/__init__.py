@@ -1,94 +1,34 @@
-"""Multibeam swath geometry and survey line layout over a planar sloped seabed."""
+"""Multibeam swath geometry and survey line layout over a planar sloped seabed.
+
+The package exports its library entry points. Lower-level pieces live in the
+submodules; the coverage audit and its numpy oracles are in
+``swathplan.verifier``, which is not imported here so that plain planning
+never loads numpy.
+"""
 
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
-from .errors import (
-    BeamGrazeError,
-    InvalidDepthError,
-    NoFeasibleStartError,
-    NoSolutionInBracketError,
-    PlanningError,
-    RegionExhaustedError,
-    SurfacedSeabedError,
-)
-from .geometry import (
-    PlanarSeabed,
-    ShipFix,
-    SwathCrossSection,
-    TransducerSpec,
-    along_line_depth,
-    effective_slope,
-    effective_slope_numeric,
-    horizontal_footprint,
-    swath_cross_section,
-    width_table,
-)
+from .errors import PlanningError
+from .geometry import PlanarSeabed, TransducerSpec, swath_cross_section, width_table
 from .planfile import PlanParseError, read_plan, write_plan_csv, write_plan_json
-from .planner import (
-    DepthProfile,
-    LinePlacement,
-    SurveyPlan,
-    SurveyRegion,
-    depth_at_x,
-    derive_profile,
-    first_line_position,
-    next_line_position,
-    overlap_ratio,
-    plan_survey,
-    swath_at,
-)
-from .units import METERS_PER_NAUTICAL_MILE, m_to_nm, nm_to_m
-from .verifier import (
-    CoverageReport,
-    VerificationResult,
-    brute_force_next_line,
-    rasterize_coverage,
-    verify_plan,
-)
+from .planner import LinePlacement, SurveyPlan, SurveyRegion, plan_survey
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamGrazeError",
     "ConfigError",
-    "CoverageReport",
-    "DepthProfile",
-    "InvalidDepthError",
     "LinePlacement",
-    "METERS_PER_NAUTICAL_MILE",
-    "NoFeasibleStartError",
-    "NoSolutionInBracketError",
     "PlanParseError",
     "PlanarSeabed",
     "PlanningError",
-    "RegionExhaustedError",
     "ScenarioConfig",
-    "ShipFix",
-    "SurfacedSeabedError",
     "SurveyPlan",
     "SurveyRegion",
-    "SwathCrossSection",
     "TransducerSpec",
-    "VerificationResult",
-    "along_line_depth",
     "apply_overrides",
-    "brute_force_next_line",
-    "depth_at_x",
-    "derive_profile",
-    "effective_slope",
-    "effective_slope_numeric",
-    "first_line_position",
-    "horizontal_footprint",
     "load_config",
-    "m_to_nm",
-    "next_line_position",
-    "nm_to_m",
-    "overlap_ratio",
     "plan_survey",
-    "rasterize_coverage",
     "read_plan",
-    "swath_at",
     "swath_cross_section",
-    "verify_plan",
     "width_table",
     "write_plan_csv",
     "write_plan_json",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
@@ -23,7 +24,6 @@ from .planfile import (
 )
 from .planner import depth_at_x, derive_profile, plan_survey
 from .units import nm_to_m
-from .verifier import verify_plan
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -31,8 +31,8 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
 
 
@@ -153,6 +153,8 @@ def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
+    from .verifier import verify_plan  # numpy is only paid for by this subcommand
+
     try:
         with open(args.plan_file, encoding="utf-8") as fh:
             text = fh.read()

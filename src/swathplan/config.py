@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -78,7 +79,13 @@ class ScenarioConfig:
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _merge(doc: dict[str, Any], raw: dict[str, Any]) -> None:
@@ -146,6 +153,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     for beta in cfg.headings_deg:
         if not 0.0 <= beta < 360.0:
             raise ConfigError(f"headings must be in [0, 360) degrees, got {beta}")
+    if not all(map(math.isfinite, cfg.distances_nm)):
+        raise ConfigError(f"distances must be finite, got {list(cfg.distances_nm)}")
 
 
 def load_config(path: str | None) -> ScenarioConfig:

@@ -10,14 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    BeamGrazeError,
-    InvalidDepthError,
-    PlanningError,
-    SurfacedSeabedError,
-)
+from .errors import BeamGrazeError, InvalidDepthError, SurfacedSeabedError
 
 # Reject cross-track slopes this close (degrees) to the outer-beam angle;
 # the deep-side extent diverges as the beam becomes parallel to the bed.
@@ -40,6 +33,8 @@ class PlanarSeabed:
     slope_alpha: float
 
     def __post_init__(self):
+        if not math.isfinite(self.reference_depth):
+            raise ValueError(f"reference depth must be finite, got {self.reference_depth}")
         if self.reference_depth <= 0.0:
             raise ValueError(f"reference depth must be positive, got {self.reference_depth}")
         if not 0.0 <= self.slope_alpha < 90.0:
@@ -146,29 +141,6 @@ def effective_slope(alpha_deg: float, beta_deg: float) -> float:
     return math.degrees(math.acos(min(1.0, cos_g)))
 
 
-def effective_slope_numeric(alpha_deg: float, beta_deg: float) -> float:
-    """Gamma (deg) from explicit vector construction; oracle for effective_slope.
-
-    Builds the across-track direction n3 = n1 x n2 (line direction crossed
-    with the bed normal) and measures its angle to its own horizontal
-    projection n4. Returns 0 by convention where a projection degenerates
-    to zero length.
-    """
-    _check_angles(alpha_deg, beta_deg)
-    a = math.radians(alpha_deg)
-    b = math.radians(beta_deg)
-    n1 = np.array([math.cos(b), math.sin(b), 0.0])
-    n2 = np.array([math.sin(a), 0.0, math.cos(a)])
-    n3 = np.cross(n1, n2)
-    n4 = n3 * np.array([1.0, 1.0, 0.0])
-    norm3 = float(np.linalg.norm(n3))
-    norm4 = float(np.linalg.norm(n4))
-    if norm3 == 0.0 or norm4 == 0.0:
-        return 0.0
-    cos_g = float(np.dot(n3, n4)) / (norm3 * norm4)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cos_g))))
-
-
 def swath_cross_section(depth: float, gamma_deg: float, xdcr: TransducerSpec) -> SwathCrossSection:
     """Across-track swath on the bed for a given local depth and cross-track slope.
 
@@ -239,16 +211,24 @@ def width_table(
     Rows follow ``headings``, columns follow ``distances`` (meters along the
     line from the frame origin). Cells whose geometry fails (surfaced bed,
     grazing beam) carry None; the rest of the grid keeps computing.
+
+    Width is linear in depth, so each row computes its unit-depth width once
+    and each cell scales it by the same along-line depth as along_line_depth.
     """
+    ta = math.tan(math.radians(seabed.slope_alpha))
     rows: list[list[float | None]] = []
     for beta in headings:
-        gamma = effective_slope(seabed.slope_alpha, beta)
+        try:
+            unit_width = swath_cross_section(
+                1.0, effective_slope(seabed.slope_alpha, beta), xdcr
+            ).total_width
+        except BeamGrazeError:
+            rows.append([None] * len(distances))
+            continue
+        cosb = math.cos(math.radians(beta))
         row: list[float | None] = []
         for dist in distances:
-            try:
-                depth = along_line_depth(seabed, ShipFix(dist, beta))
-                row.append(swath_cross_section(depth, gamma, xdcr).total_width)
-            except PlanningError:
-                row.append(None)
+            depth = seabed.reference_depth + dist * cosb * ta
+            row.append(depth * unit_width if depth > 0.0 else None)
         rows.append(row)
     return rows

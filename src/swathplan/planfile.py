@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 
 from .planner import LinePlacement, SurveyPlan, SurveyRegion
-from .units import METERS_PER_NAUTICAL_MILE
 
 PLAN_CSV_HEADER = "x_m,overlap_prev,width_m"
 RATIO_DECIMALS = 5
@@ -129,8 +128,8 @@ def _rows_from_json(text: str) -> list[tuple[float, float | None, float]]:
 def read_plan(text: str, region: SurveyRegion) -> SurveyPlan:
     """Parse a plan file (CSV or JSON, sniffed from the first character).
 
-    The region supplies the line length; totals are recomputed from the row
-    count, so a hand-edited file still yields a consistent plan object.
+    The region supplies the line length; totals derive from the row count,
+    so a hand-edited file still yields a consistent plan object.
     """
     body = text.lstrip()
     if not body:
@@ -148,9 +147,4 @@ def read_plan(text: str, region: SurveyRegion) -> SurveyPlan:
         )
     except ValueError as err:
         raise PlanParseError(str(err)) from err
-    return SurveyPlan(
-        placements=placements,
-        line_length=region.length_ns,
-        line_count=len(placements),
-        total_track_length=len(placements) * region.length_ns / METERS_PER_NAUTICAL_MILE,
-    )
+    return SurveyPlan(placements=placements, line_length=region.length_ns)

@@ -4,6 +4,12 @@ Frame: x in meters east of the west region boundary. The deep side of the
 region is fixed at the west edge, so depth falls off eastward. Every line
 runs the full north-south length of the region; its across-track direction
 is east-west, so the cross-track slope it sees equals the bed dip alpha.
+
+On this planar bed depth is affine in x and a swath's width and footprint
+are the depth times fixed factors, so both placement conditions (deep edge
+on the west boundary, target overlap with the previous line) are linear in
+x and solved in closed form. Each answer is then nudged west by a few ulps
+until the contract holds exactly when checked through ``swath_at``.
 """
 
 from __future__ import annotations
@@ -20,10 +26,6 @@ from .errors import (
 from .geometry import SwathCrossSection, TransducerSpec, horizontal_footprint, swath_cross_section
 from .units import METERS_PER_NAUTICAL_MILE
 
-# Give bracket caps a hair of clearance from the exact surfacing point so
-# depth stays positive at every evaluated candidate.
-_WET_CLEARANCE = 1.0 - 1e-12
-
 
 @dataclass(frozen=True)
 class SurveyRegion:
@@ -35,6 +37,8 @@ class SurveyRegion:
     slope_alpha: float  # east-west bed dip, deg
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.width_ew, self.length_ns, self.center_depth))):
+            raise ValueError("region extents and center depth must be finite")
         if self.width_ew <= 0.0 or self.length_ns <= 0.0:
             raise ValueError("region extents must be positive")
         if self.center_depth <= 0.0:
@@ -74,12 +78,15 @@ class SurveyPlan:
 
     placements: tuple[LinePlacement, ...]
     line_length: float  # north-south length of every line, m
-    line_count: int
-    total_track_length: float  # nautical miles
 
-    def __post_init__(self):
-        if self.line_count != len(self.placements):
-            raise ValueError("line_count does not match the number of placements")
+    @property
+    def line_count(self) -> int:
+        return len(self.placements)
+
+    @property
+    def total_track_length(self) -> float:
+        """Summed length of all lines, nautical miles."""
+        return self.line_count * self.line_length / METERS_PER_NAUTICAL_MILE
 
 
 def derive_profile(region: SurveyRegion) -> DepthProfile:
@@ -124,67 +131,35 @@ def overlap_ratio(
     return 1.0 - (x_east - x_west) / w_mean
 
 
-def _bisect(on_west_side, lo: float, hi: float) -> float:
-    """Machine-precision bisection over a predicate that is true west of the root.
-
-    Halves until the midpoint collapses onto an endpoint (about 50 rounds)
-    and returns the west endpoint. Full convergence costs microseconds and
-    is needed to reproduce closed-form answers to 1e-9 relative; it also
-    lands well inside the documented 1e-4 m bracket.
-    """
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo
-        if on_west_side(mid):
-            lo = mid
-        else:
-            hi = mid
-
-
-def _wet_limit(profile: DepthProfile) -> float:
-    """Largest x with positive depth (inf on a flat profile)."""
-    ta = math.tan(math.radians(profile.slope_alpha))
-    if ta == 0.0:
-        return math.inf
-    return profile.west_edge_depth / ta * _WET_CLEARANCE
-
-
 def first_line_position(
     profile: DepthProfile, xdcr: TransducerSpec, x_max: float | None = None
 ) -> float:
     """x of the westmost line: its deep edge must land on the west boundary.
 
-    Solves x = proj_deep(x) by bisection on f(x) = x - proj_deep(x).
-    proj_deep shrinks as the bed shoals eastward, so f is strictly
-    increasing and the root unique; the root can never exceed proj_deep at
-    x = 0, which seeds the bracket. The returned position keeps the deep
-    edge at or a hair west of the boundary (never short of it).
+    The deep edge sits kd * cos(alpha) * depth(x) west of the line, with kd
+    the deep half-width at unit depth, so x = kd * cos(alpha) * depth(x)
+    solves to
+
+        x0 = D_w * kd * cos(alpha) / (1 + kd * cos(alpha) * tan(alpha)).
+
+    The returned position keeps the deep edge at or a hair west of the
+    boundary (never short of it).
 
     Raises NoFeasibleStartError when x_max (usually the region width) lies
-    west of the root, i.e. even the easternmost allowed line would overreach
-    the boundary.
+    west of x0, i.e. even the easternmost allowed line would overreach the
+    boundary.
     """
-
-    def overshoot(x: float) -> bool:
-        # west of the root: the deep edge still lies past the boundary
-        proj_deep, _ = horizontal_footprint(swath_at(profile, xdcr, x), profile.slope_alpha)
-        return x - proj_deep < 0.0
-
-    hi = horizontal_footprint(swath_at(profile, xdcr, 0.0), profile.slope_alpha)[0]
-    hi = min(hi, _wet_limit(profile))
-    if x_max is not None and x_max < hi:
-        if overshoot(x_max):
-            raise NoFeasibleStartError(
-                f"no feasible start: a line at x = {x_max:.3f} m still reaches "
-                "past the west boundary"
-            )
-        hi = x_max
-    if not overshoot(0.0):
-        # zero-width swath cannot arise from validated inputs; keep the
-        # degenerate answer well defined anyway
-        return 0.0
-    return _bisect(overshoot, 0.0, hi)
+    a = math.radians(profile.slope_alpha)
+    k_proj = swath_cross_section(1.0, profile.slope_alpha, xdcr).half_deep * math.cos(a)
+    x = profile.west_edge_depth * k_proj / (1.0 + k_proj * math.tan(a))
+    if x_max is not None and x > x_max:
+        raise NoFeasibleStartError(
+            f"no feasible start: a line at x = {x_max:.3f} m still reaches "
+            "past the west boundary"
+        )
+    while x - horizontal_footprint(swath_at(profile, xdcr, x), profile.slope_alpha)[0] > 0.0:
+        x = math.nextafter(x, -math.inf)
+    return x
 
 
 def next_line_position(
@@ -192,28 +167,31 @@ def next_line_position(
 ) -> float:
     """x of the next line east of x_prev holding the target overlap fraction.
 
-    eta(x) falls monotonically from 1 at x_prev to <= 0 one previous-width
-    east, so the target crossing is unique. Bisection keeps the west
-    endpoint at eta >= eta_target and returns it, so the achieved overlap
-    never undershoots the target (and exceeds it by < 1e-4).
+    With width K * depth (K the total width at unit depth) and depth falling
+    by tan(alpha) per meter, the overlap definition is linear in the step:
 
-    Raises RegionExhaustedError when the bed surfaces east of x_prev before
-    the overlap can fall to the target.
+        step = (1 - eta) * K * D_prev / (1 + (1 - eta) * K * tan(alpha) / 2).
+
+    The achieved overlap never undershoots the target and exceeds it by a
+    few ulps at most.
+
+    Raises RegionExhaustedError when (1 - eta) * K * tan(alpha) / 2 >= 1:
+    the bed would surface at or before the position the target asks for.
     """
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    hi = x_prev + swath_at(profile, xdcr, x_prev).total_width
-    wet = _wet_limit(profile)
-    if hi > wet:
-        hi = wet
-        if overlap_ratio(profile, xdcr, x_prev, hi) >= eta_target:
-            raise RegionExhaustedError(
-                f"region exhausted: seabed surfaces near x = {wet:.3f} m before the "
-                f"overlap can drop to {eta_target:g}"
-            )
-    return _bisect(
-        lambda x: overlap_ratio(profile, xdcr, x_prev, x) >= eta_target, x_prev, hi
-    )
+    ta = math.tan(math.radians(profile.slope_alpha))
+    # the part of the unit-depth width that the target leaves unshared
+    free = (1.0 - eta_target) * swath_cross_section(1.0, profile.slope_alpha, xdcr).total_width
+    if 0.5 * free * ta >= 1.0:
+        raise RegionExhaustedError(
+            f"region exhausted: seabed surfaces near x = {profile.west_edge_depth / ta:.3f} m "
+            f"before the overlap can drop to {eta_target:g}"
+        )
+    x = x_prev + free * depth_at_x(profile, x_prev) / (1.0 + 0.5 * free * ta)
+    while overlap_ratio(profile, xdcr, x_prev, x) < eta_target:
+        x = math.nextafter(x, -math.inf)
+    return x
 
 
 def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -> SurveyPlan:
@@ -227,12 +205,13 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
     profile = derive_profile(region)
-    if _wet_limit(profile) <= region.width_ew:
+    ta = math.tan(math.radians(profile.slope_alpha))
+    if ta > 0.0 and profile.west_edge_depth / ta <= region.width_ew:
         # A bed surfacing inside the region can never satisfy the east
         # boundary termination: widths decay geometrically toward the
         # surfacing point and placement would recurse forever.
         raise RegionExhaustedError(
-            f"region exhausted: seabed surfaces at x = {_wet_limit(profile):.3f} m, "
+            f"region exhausted: seabed surfaces at x = {profile.west_edge_depth / ta:.3f} m, "
             f"inside the {region.width_ew:.3f} m east-west extent"
         )
     placements: list[LinePlacement] = []
@@ -247,6 +226,8 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
             if x + proj_shallow >= region.width_ew:
                 break
             x_next = next_line_position(profile, xdcr, x, eta_target)
+            # a target near 1 over a nearly dry east edge shrinks the step
+            # below 1e-9 of x; stop here instead of placing billions of lines
             if x_next - x <= 1e-9 * max(1.0, x):
                 raise RegionExhaustedError(
                     f"region exhausted: placement stalled at x = {x:.3f} m"
@@ -259,15 +240,6 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
             x = x_next
     except PlanningError as err:
         if placements:
-            err.partial_plan = _as_plan(placements, region)
+            err.partial_plan = SurveyPlan(tuple(placements), region.length_ns)
         raise
-    return _as_plan(placements, region)
-
-
-def _as_plan(placements: list[LinePlacement], region: SurveyRegion) -> SurveyPlan:
-    return SurveyPlan(
-        placements=tuple(placements),
-        line_length=region.length_ns,
-        line_count=len(placements),
-        total_track_length=len(placements) * region.length_ns / METERS_PER_NAUTICAL_MILE,
-    )
+    return SurveyPlan(tuple(placements), region.length_ns)

@@ -1,9 +1,11 @@
-"""Independent coverage checks for survey plans.
+"""Independent coverage checks for survey plans, and the numpy oracles.
 
 The raster path rebuilds every line's horizontal footprint from the depth
 profile and measures coverage on a 1-D grid of cell centers spanning the
-east-west extent. The brute-force solver below shares no arithmetic with
-the planner's bisection; both exist so each can catch the other lying.
+east-west extent. The grid-scan solver below shares no arithmetic with the
+planner's closed-form placement, and the vector construction of the
+cross-track slope none with geometry's closed form; each exists so the two
+sides can catch each other lying. This is the only module that needs numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionInBracketError, SurfacedSeabedError
-from .geometry import TransducerSpec, horizontal_footprint
+from .geometry import TransducerSpec, _check_angles, horizontal_footprint
 from .planner import DepthProfile, SurveyPlan, SurveyRegion, derive_profile, swath_at
 
 DEFAULT_RESOLUTION_M = 0.1
@@ -112,6 +114,29 @@ def _zero_runs(cover: np.ndarray, resolution: float, width_ew: float) -> list[tu
     ]
 
 
+def effective_slope_numeric(alpha_deg: float, beta_deg: float) -> float:
+    """Gamma (deg) from explicit vector construction; oracle for effective_slope.
+
+    Builds the across-track direction n3 = n1 x n2 (line direction crossed
+    with the bed normal) and measures its angle to its own horizontal
+    projection n4. Returns 0 by convention where a projection degenerates
+    to zero length.
+    """
+    _check_angles(alpha_deg, beta_deg)
+    a = math.radians(alpha_deg)
+    b = math.radians(beta_deg)
+    n1 = np.array([math.cos(b), math.sin(b), 0.0])
+    n2 = np.array([math.sin(a), 0.0, math.cos(a)])
+    n3 = np.cross(n1, n2)
+    n4 = n3 * np.array([1.0, 1.0, 0.0])
+    norm3 = float(np.linalg.norm(n3))
+    norm4 = float(np.linalg.norm(n4))
+    if norm3 == 0.0 or norm4 == 0.0:
+        return 0.0
+    cos_g = float(np.dot(n3, n4)) / (norm3 * norm4)
+    return math.degrees(math.acos(max(-1.0, min(1.0, cos_g))))
+
+
 def brute_force_next_line(
     profile: DepthProfile,
     xdcr: TransducerSpec,
@@ -119,13 +144,13 @@ def brute_force_next_line(
     eta_target: float,
     step: float = 0.01,
 ) -> float:
-    """Grid-scan oracle for the planner's next-line bisection.
+    """Grid-scan oracle for the planner's next-line solve.
 
     Walks candidates x_prev + k*step downward from the far end of the
     bracket (one previous-line width east) and returns the first whose
     achieved overlap reaches eta_target. All geometry is recomputed inline
     from the law of sines so the oracle shares nothing with the planner's
-    solver path. Agreement with the bisection is within one step.
+    solver path. Agreement with the closed form is within one step.
     """
     if step <= 0.0:
         raise ValueError(f"scan step must be positive, got {step}")
@@ -175,7 +200,8 @@ def verify_plan(
 
     Fails on any uncovered interval, any pairwise rasterized overlap ratio
     outside [eta_min - RATIO_SLACK, eta_max + RATIO_SLACK], or bed-measured
-    widths that do not shrink strictly west to east.
+    widths that break the bed's shape: on a sloped bed they must shrink
+    strictly west to east, on a flat bed they must all be equal.
     """
     report = rasterize_coverage(plan, region, xdcr, resolution)
     findings = []
@@ -190,9 +216,14 @@ def verify_plan(
             )
     widths = [p.swath_width for p in plan.placements]
     for i, (w_west, w_east) in enumerate(zip(widths, widths[1:])):
-        if not w_east < w_west:
+        if region.slope_alpha > 0.0 and not w_east < w_west:
             findings.append(
                 f"lines {i + 1}-{i + 2}: width not strictly decreasing "
+                f"({w_west:.4f} -> {w_east:.4f} m)"
+            )
+        elif region.slope_alpha == 0.0 and w_east != w_west:
+            findings.append(
+                f"lines {i + 1}-{i + 2}: width not constant on a flat bed "
                 f"({w_west:.4f} -> {w_east:.4f} m)"
             )
     return VerificationResult(passed=not findings, findings=tuple(findings), report=report)

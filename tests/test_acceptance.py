@@ -17,7 +17,6 @@ import time
 from swathplan.geometry import (
     TransducerSpec,
     effective_slope,
-    effective_slope_numeric,
     swath_cross_section,
     width_table,
 )
@@ -28,7 +27,12 @@ from swathplan.planner import (
     next_line_position,
     plan_survey,
 )
-from swathplan.verifier import brute_force_next_line, rasterize_coverage, verify_plan
+from swathplan.verifier import (
+    brute_force_next_line,
+    effective_slope_numeric,
+    rasterize_coverage,
+    verify_plan,
+)
 
 NM = 1852.0
 
@@ -150,8 +154,6 @@ def test_criterion_5_raster_coverage(reference_plan, region, xdcr):
         mutated = SurveyPlan(
             placements=tuple(placements),
             line_length=reference_plan.line_length,
-            line_count=len(placements),
-            total_track_length=len(placements) * reference_plan.line_length / NM,
         )
         result = verify_plan(mutated, region, xdcr, 0.10, 0.20)
         assert not result.passed

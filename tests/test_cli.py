@@ -11,9 +11,12 @@ import pytest
 from swathplan.cli import main
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "swathplan", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "swathplan", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
     )
 
 
@@ -171,6 +174,15 @@ def test_verify_respects_scenario_overrides(tmp_path, capsys):
     assert main(["verify", str(plan_path), "--center-depth-m", "200"]) == 1
 
 
+def test_verify_passes_flat_bed_plan(tmp_path, capsys):
+    # equal widths are the right shape on a flat bed, not a finding
+    plan_path = tmp_path / "flat.csv"
+    assert main(["plan", "--alpha-deg", "0", "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(plan_path), "--alpha-deg", "0"]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n1,2\n", encoding="utf-8")
@@ -241,3 +253,47 @@ def test_outputs_are_deterministic():
     table_a = run_cli("width-table", "--format", "json")
     table_b = run_cli("width-table", "--format", "json")
     assert table_a.stdout == table_b.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plan", "--center-depth-m", "nan"),
+        ("plan", "--region-ew-nm", "inf"),
+        ("plot-data", "--region-ns-nm", "-inf"),
+        ("width-table", "--distances-nm", "nan,inf"),
+        ("width-table", "--headings-deg", "0,nan"),
+    ],
+)
+def test_non_finite_input_exits_2(argv):
+    proc = run_cli(*argv, timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_non_finite_config_exits_2(tmp_path):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"region": {"center_depth_m": NaN}}', encoding="utf-8")
+    proc = run_cli("plan", "--config", str(cfg), timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_numpy_is_loaded_by_verify_only():
+    script = (
+        "import contextlib, io, sys\n"
+        "import swathplan\n"
+        "from swathplan import cli\n"
+        "assert 'numpy' not in sys.modules, 'import swathplan'\n"
+        "for cmd in ('plan', 'width-table', 'plot-data'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main([cmd]) == 0\n"
+        "    assert 'numpy' not in sys.modules, cmd\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

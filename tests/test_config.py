@@ -91,6 +91,26 @@ def test_invalid_values_rejected(tmp_path):
             load_config(write_config(tmp_path, doc))
 
 
+def test_non_finite_values_rejected(tmp_path):
+    # json.load accepts the NaN and Infinity literals that json.dumps writes
+    bad_docs = [
+        {"region": {"center_depth_m": float("nan")}},
+        {"region": {"width_ew_nm": float("inf")}},
+        {"seabed": {"reference_depth_m": float("-inf")}},
+        {"eta_max": float("nan")},
+        {"distances_nm": [0.0, float("inf")]},
+        {"region": {"length_ns_nm": 10**400}},  # integer beyond the float range
+    ]
+    for doc in bad_docs:
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(write_config(tmp_path, doc))
+    cfg = load_config(None)
+    for override in ({"center_depth_m": float("nan")}, {"region_ns_nm": float("inf")},
+                     {"distances_nm": (float("nan"),)}):
+        with pytest.raises(ConfigError, match="finite"):
+            apply_overrides(cfg, **override)
+
+
 def test_overrides_replace_fields():
     cfg = load_config(None)
     out = apply_overrides(

@@ -15,11 +15,11 @@ from swathplan.geometry import (
     TransducerSpec,
     along_line_depth,
     effective_slope,
-    effective_slope_numeric,
     horizontal_footprint,
     swath_cross_section,
     width_table,
 )
+from swathplan.verifier import effective_slope_numeric
 
 
 def test_along_line_depth_is_affine_in_distance(seabed):
@@ -212,3 +212,6 @@ def test_model_input_validation():
     with pytest.raises(ValueError, match="heading"):
         ShipFix(distance_from_center=0.0, heading_beta=-1.0)
     assert TransducerSpec(120.0).half_angle == 60.0
+    for depth in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PlanarSeabed(reference_depth=depth, slope_alpha=1.0)

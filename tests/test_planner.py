@@ -1,14 +1,16 @@
-"""Line placement: depth profile, the two bisection solves, full plans."""
+"""Line placement: depth profile, the two closed-form solves, full plans."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from swathplan.errors import (
     NoFeasibleStartError,
+    PlanningError,
     RegionExhaustedError,
     SurfacedSeabedError,
 )
@@ -32,6 +34,14 @@ def test_derive_profile_default_region(region, profile):
     assert profile.edge_offset_d1 == pytest.approx(96.99265349226839, rel=1e-12)
     assert profile.west_edge_depth == pytest.approx(206.9926534922684, rel=1e-12)
     assert profile.slope_alpha == region.slope_alpha
+
+
+def test_region_rejects_non_finite_values():
+    good = dict(width_ew=2000.0, length_ns=500.0, center_depth=80.0, slope_alpha=3.0)
+    for field in ("width_ew", "length_ns", "center_depth"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SurveyRegion(**{**good, field: value})
 
 
 def test_derive_profile_scales_with_region():
@@ -87,7 +97,7 @@ def test_first_line_position_flat(xdcr):
 def test_first_line_position_against_grid_scan(profile):
     """Solve x = proj_deep(x) for a 90 deg fan by brute grid scan.
 
-    The scan shares no code with the bisection: footprints come from a
+    The scan shares no code with the closed form: footprints come from a
     vectorized transcription of the law-of-sines construction.
     """
     xdcr90 = TransducerSpec(opening_angle_theta=90.0)
@@ -234,3 +244,39 @@ def test_plan_survey_attaches_partial_plan_on_late_failure(region):
     with pytest.raises(NoFeasibleStartError) as exc:
         plan_survey(narrow, wide, 0.10)
     assert exc.value.partial_plan is None  # nothing was placed yet
+
+
+def test_placement_contract_over_the_envelope():
+    """Every plan keeps both contracts exactly, across the valid input range.
+
+    The first line's deep edge lies at or west of the boundary and every
+    achieved overlap is at least the target, both checked through swath_at
+    on the floats the planner returns.
+    """
+    rng = random.Random(2407)
+    planned = 0
+    for _ in range(300):
+        alpha = rng.uniform(0.0, 20.0)
+        theta = rng.uniform(30.0, 160.0)
+        eta = rng.uniform(0.01, 0.99)
+        center = rng.uniform(20.0, 500.0)
+        # at most 5 depths wide: the east edge stays under water at 20 deg
+        region = SurveyRegion(
+            width_ew=rng.uniform(0.5, 5.0) * center,
+            length_ns=1000.0,
+            center_depth=center,
+            slope_alpha=alpha,
+        )
+        fan = TransducerSpec(opening_angle_theta=theta)
+        try:
+            plan = plan_survey(region, fan, eta)
+        except PlanningError:
+            continue  # grazing beam, no feasible start or a bed too steep for eta
+        planned += 1
+        profile = derive_profile(region)
+        first = plan.placements[0]
+        proj_deep, _ = horizontal_footprint(swath_at(profile, fan, first.x), alpha)
+        assert first.x - proj_deep <= 0.0, (alpha, theta, eta)
+        for p in plan.placements[1:]:
+            assert p.overlap_with_previous >= eta, (alpha, theta, eta)
+    assert planned >= 150

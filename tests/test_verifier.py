@@ -1,4 +1,4 @@
-"""Raster coverage accounting and the grid-scan oracle for the bisections."""
+"""Raster coverage accounting and the grid-scan oracle for the placement solves."""
 
 from __future__ import annotations
 
@@ -33,8 +33,6 @@ def _plan_of(placements, region):
     return SurveyPlan(
         placements=tuple(placements),
         line_length=region.length_ns,
-        line_count=len(placements),
-        total_track_length=len(placements) * region.length_ns / 1852.0,
     )
 
 
@@ -115,7 +113,7 @@ def test_brute_force_near_total_overlap(xdcr):
 
 
 def test_brute_force_agrees_over_random_profiles(xdcr):
-    """Bisection vs grid scan on 100 random (profile, x_prev, eta) triples."""
+    """Closed form vs grid scan on 100 random (profile, x_prev, eta) triples."""
     rng = random.Random(507)
     for _ in range(100):
         alpha = rng.uniform(0.2, 3.0)
@@ -181,6 +179,23 @@ def test_verify_detects_width_ordering(reference_plan, region, xdcr):
     result = verify_plan(backwards, region, xdcr, 0.10, 0.20)
     assert not result.passed
     assert all("width not strictly decreasing" in f for f in result.findings)
+
+
+def test_verify_width_rule_on_a_flat_bed(xdcr):
+    # equal widths are the geometry of a flat bed; a changed one is a finding
+    region = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=0.0)
+    plan = plan_survey(region, xdcr, 0.10)
+    assert verify_plan(plan, region, xdcr, 0.10, 0.20).passed
+    placements = list(plan.placements)
+    placements[3] = LinePlacement(
+        x=placements[3].x, depth=110.0, swath_width=placements[3].swath_width - 1.0,
+        overlap_with_previous=placements[3].overlap_with_previous,
+    )
+    result = verify_plan(_plan_of(placements, region), region, xdcr, 0.10, 0.20)
+    assert result.findings == (
+        "lines 3-4: width not constant on a flat bed (381.0512 -> 380.0512 m)",
+        "lines 4-5: width not constant on a flat bed (380.0512 -> 381.0512 m)",
+    )
 
 
 def test_verify_randomized_scenarios(xdcr):
