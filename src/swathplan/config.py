@@ -166,7 +166,7 @@ def load_config(path: str | None) -> ScenarioConfig:
                 raw = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or an integer literal too long to convert
             raise ConfigError(f"config is not valid JSON: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")

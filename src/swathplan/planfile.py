@@ -105,7 +105,7 @@ def _rows_from_csv(text: str) -> list[tuple[float, float | None, float]]:
 def _rows_from_json(text: str) -> list[tuple[float, float | None, float]]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer literal too long to convert
         raise PlanParseError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("placements"), list):
         raise PlanParseError("JSON plan must be an object with a 'placements' array")
@@ -117,10 +117,10 @@ def _rows_from_json(text: str) -> list[tuple[float, float | None, float]]:
             x = float(entry["x_m"])
             width = float(entry["width_m"])
             overlap = entry.get("overlap_prev")
-        except (KeyError, TypeError, ValueError) as err:
+            if overlap is not None:
+                overlap = float(overlap)
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise PlanParseError(f"placement {i}: {err}") from err
-        if overlap is not None:
-            overlap = float(overlap)
         rows.append((x, overlap, width))
     return rows
 

@@ -66,6 +66,9 @@ class LinePlacement:
     overlap_with_previous: float | None  # None on the westmost line
 
     def __post_init__(self):
+        # depth is not checked: a parsed plan file carries NaN there on purpose
+        if not (math.isfinite(self.x) and math.isfinite(self.swath_width)):
+            raise ValueError(f"line x and width must be finite, got {self.x}, {self.swath_width}")
         if self.overlap_with_previous is not None and not (
             0.0 < self.overlap_with_previous < 1.0
         ):

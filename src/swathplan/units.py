@@ -6,8 +6,3 @@ METERS_PER_NAUTICAL_MILE = 1852.0  # by definition
 def nm_to_m(nm: float) -> float:
     """Convert nautical miles to meters."""
     return nm * METERS_PER_NAUTICAL_MILE
-
-
-def m_to_nm(m: float) -> float:
-    """Convert meters to nautical miles."""
-    return m / METERS_PER_NAUTICAL_MILE

@@ -78,26 +78,26 @@ def rasterize_coverage(
     profile = derive_profile(region)
     n_cells = int(math.ceil(region.width_ew / resolution))
     centers = (np.arange(n_cells) + 0.5) * resolution
-    footprints = []
-    for placement in plan.placements:
+    footprints = np.empty((len(plan.placements), 2))
+    for i, placement in enumerate(plan.placements):
         section = swath_at(profile, xdcr, placement.x)
         proj_deep, proj_shallow = horizontal_footprint(section, profile.slope_alpha)
-        footprints.append((placement.x - proj_deep, placement.x + proj_shallow))
-    masks = [(centers >= lo) & (centers <= hi) for lo, hi in footprints]
-    cover = np.zeros(n_cells, dtype=np.int32)
-    for mask in masks:
-        cover += mask
-    ratios = []
-    for (m_west, m_east), (f_west, f_east) in zip(
-        zip(masks, masks[1:]), zip(footprints, footprints[1:])
-    ):
-        shared = float(np.count_nonzero(m_west & m_east)) * resolution
-        mean_extent = 0.5 * ((f_west[1] - f_west[0]) + (f_east[1] - f_east[0]))
-        ratios.append(shared / mean_extent)
+        footprints[i] = placement.x - proj_deep, placement.x + proj_shallow
+    lo, hi = footprints.T
+    # the centers are sorted, so the cells with lo <= center <= hi are the
+    # index range [first, stop); coverage is the running sum of range ends
+    first = np.searchsorted(centers, lo, side="left")
+    stop = np.searchsorted(centers, hi, side="right")
+    cover = np.bincount(first, minlength=n_cells + 1)
+    cover -= np.bincount(stop, minlength=n_cells + 1)
+    cover = np.cumsum(cover, out=cover)[:n_cells]
+    shared = np.minimum(stop[:-1], stop[1:]) - np.maximum(first[:-1], first[1:])
+    extent = hi - lo
+    ratios = np.maximum(shared, 0) * resolution / (0.5 * (extent[:-1] + extent[1:]))
     return CoverageReport(
         resolution=resolution,
         uncovered_intervals=tuple(_zero_runs(cover, resolution, region.width_ew)),
-        pairwise_overlap_ratios=tuple(ratios),
+        pairwise_overlap_ratios=tuple(ratios.tolist()),
         max_multiplicity=int(cover.max()) if n_cells else 0,
     )
 

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import swathplan
 from swathplan.geometry import PlanarSeabed, TransducerSpec
 from swathplan.planner import SurveyRegion, derive_profile, plan_survey
 from swathplan.units import nm_to_m
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_package_under_test():
+    """Let `python -m swathplan` subprocesses import the package this session
+    imported, also when pytest found it through its `pythonpath` setting."""
+    src = str(Path(swathplan.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

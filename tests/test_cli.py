@@ -255,6 +255,15 @@ def test_outputs_are_deterministic():
     assert table_a.stdout == table_b.stdout
 
 
+# plan files for the verify cases below, written where the argument names them
+NON_FINITE_PLANS = {
+    "x_inf.csv": "x_m,overlap_prev,width_m\ninf,,582.517\n",
+    "x_nan.csv": "x_m,overlap_prev,width_m\nnan,,582.517\n",
+    "width_inf.csv": "x_m,overlap_prev,width_m\n76.6,,inf\n",
+    "x_nan.json": '{"placements": [{"x_m": NaN, "overlap_prev": null, "width_m": 582.517}]}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -263,9 +272,18 @@ def test_outputs_are_deterministic():
         ("plot-data", "--region-ns-nm", "-inf"),
         ("width-table", "--distances-nm", "nan,inf"),
         ("width-table", "--headings-deg", "0,nan"),
+        ("verify", "x_inf.csv"),
+        ("verify", "x_nan.csv"),
+        ("verify", "width_inf.csv"),
+        ("verify", "x_nan.json"),
     ],
 )
-def test_non_finite_input_exits_2(argv):
+def test_non_finite_input_exits_2(argv, tmp_path):
+    argv = list(argv)
+    if argv[-1] in NON_FINITE_PLANS:
+        path = tmp_path / argv[-1]
+        path.write_text(NON_FINITE_PLANS[argv[-1]], encoding="utf-8")
+        argv[-1] = str(path)
     proc = run_cli(*argv, timeout=60)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -279,6 +297,29 @@ def test_non_finite_config_exits_2(tmp_path):
     proc = run_cli("plan", "--config", str(cfg), timeout=60)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+BIG_INT = "1" + "0" * 5000  # past the 4,300 digits that int() converts from text
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("plan", "--config"), f'{{"eta_target": {BIG_INT}}}'),
+        (("verify",), f'{{"placements": [{{"x_m": {BIG_INT}, "width_m": 582.517}}]}}'),
+        # too large for a float, and not a number at all
+        (("verify",), f'{{"placements": [{{"x_m": 1{"0" * 400}, "width_m": 582.517}}]}}'),
+        (("verify",), '{"placements": [{"x_m": 76.6, "width_m": 582.517, "overlap_prev": "x"}]}'),
+    ],
+    ids=["config-long-int", "plan-long-int", "plan-float-overflow", "plan-text-overlap"],
+)
+def test_unconvertible_json_number_exits_2(argv, text, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    proc = run_cli(*argv, str(path), timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

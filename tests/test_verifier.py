@@ -8,15 +8,22 @@ import random
 import pytest
 
 from swathplan.errors import NoSolutionInBracketError, SurfacedSeabedError
-from swathplan.geometry import TransducerSpec, effective_slope, swath_cross_section
+from swathplan.geometry import (
+    TransducerSpec,
+    effective_slope,
+    horizontal_footprint,
+    swath_cross_section,
+)
 from swathplan.planner import (
     DepthProfile,
     LinePlacement,
     SurveyPlan,
     SurveyRegion,
+    derive_profile,
     first_line_position,
     next_line_position,
     plan_survey,
+    swath_at,
 )
 from swathplan.verifier import brute_force_next_line, rasterize_coverage, verify_plan
 
@@ -90,6 +97,101 @@ def test_rasterize_ratio_converges_with_resolution(reference_plan, region, xdcr)
     ):
         footprint_mean = 0.5 * (widths[i] + widths[i + 1]) * cos_a
         assert abs(rc - rf) < (0.2 + 0.1) / footprint_mean
+
+
+def _coverage_by_definition(plan, region, xdcr, resolution):
+    """(uncovered intervals, pairwise ratios, max multiplicity), one cell at a time.
+
+    A cell is covered by every line whose horizontal footprint holds the
+    cell's center; a pair shares the cells that both footprints hold.
+    """
+    profile = derive_profile(region)
+    footprints = []
+    for p in plan.placements:
+        deep, shallow = horizontal_footprint(swath_at(profile, xdcr, p.x), region.slope_alpha)
+        footprints.append((p.x - deep, p.x + shallow))
+    n_cells = math.ceil(region.width_ew / resolution)
+    members = []
+    for i in range(n_cells):
+        center = (i + 0.5) * resolution
+        members.append({k for k, (lo, hi) in enumerate(footprints) if lo <= center <= hi})
+    gaps = []
+    for i, lines in enumerate(members):
+        if lines:
+            continue
+        if i and not members[i - 1]:
+            start, _ = gaps.pop()
+        else:
+            start = i * resolution
+        gaps.append((start, min((i + 1) * resolution, region.width_ew)))
+    ratios = []
+    for k, ((lo_w, hi_w), (lo_e, hi_e)) in enumerate(zip(footprints, footprints[1:])):
+        shared = sum(1 for lines in members if k in lines and k + 1 in lines)
+        ratios.append(shared * resolution / (0.5 * ((hi_w - lo_w) + (hi_e - lo_e))))
+    return tuple(gaps), tuple(ratios), max(len(lines) for lines in members)
+
+
+def _perturbed(plan, rng):
+    """The plan with one line dropped, repeated two or three times, or shifted."""
+    lines = list(plan.placements)
+    i = rng.randrange(len(lines))
+    kind = rng.choice(("drop", "repeat", "shift"))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines[i:i] = [lines[i]] * rng.randint(2, 3)
+    else:
+        p = lines[i]
+        shift = rng.uniform(-0.5, 0.5) * p.swath_width
+        lines[i] = LinePlacement(p.x + shift, p.depth, p.swath_width, p.overlap_with_previous)
+    return SurveyPlan(placements=tuple(lines), line_length=plan.line_length)
+
+
+def _assert_matches_definition(plan, region, xdcr, resolution):
+    report = rasterize_coverage(plan, region, xdcr, resolution)
+    got = (report.uncovered_intervals, report.pairwise_overlap_ratios, report.max_multiplicity)
+    assert got == _coverage_by_definition(plan, region, xdcr, resolution)
+
+
+def test_rasterize_matches_cell_by_cell_definition(xdcr):
+    rng = random.Random(509)
+    for n in range(40):
+        alpha = rng.choice((0.0, rng.uniform(0.0, 12.0)))
+        width_ew = rng.uniform(0.3, 1.5) * 1852.0
+        d1 = 0.5 * width_ew * math.tan(math.radians(alpha))
+        region = SurveyRegion(
+            width_ew=width_ew,
+            length_ns=1852.0,
+            center_depth=rng.uniform(d1 + 40.0, d1 + 150.0),
+            slope_alpha=alpha,
+        )
+        fan = TransducerSpec(opening_angle_theta=rng.uniform(60.0, 150.0))
+        plan = plan_survey(region, fan, rng.uniform(0.05, 0.5))
+        if n % 4:
+            plan = _perturbed(plan, rng)
+        resolution = width_ew / rng.choice((100, 173, 400))
+        _assert_matches_definition(plan, region, fan, resolution)
+
+
+def test_rasterize_footprints_narrower_than_a_cell(xdcr):
+    # 0.5 m deep flat bed: 1.73 m footprints on 4 m cells with centers 2, 6, 10, ...
+    region = SurveyRegion(width_ew=400.0, length_ns=100.0, center_depth=0.5, slope_alpha=0.0)
+    half = horizontal_footprint(swath_at(derive_profile(region), xdcr, 0.0), 0.0)[0]
+    w = 2.0 * half
+    # two footprints between centers, one around the 6 m center, and two
+    # whose east and west edges land exactly on the 10 m center
+    xs = (4.0, 4.5, 6.0, 10.0 + half, 10.0 - half)
+    assert (xs[3] - half, xs[4] + half) == (10.0, 10.0)
+    plan = _plan_of(
+        [LinePlacement(x=x, depth=0.5, swath_width=w, overlap_with_previous=None) for x in xs],
+        region,
+    )
+    report = rasterize_coverage(plan, region, xdcr, resolution=4.0)
+    assert report.uncovered_intervals == ((0.0, 4.0), (12.0, 400.0))
+    assert report.pairwise_overlap_ratios[:3] == (0.0, 0.0, 0.0)
+    assert report.pairwise_overlap_ratios[3] == pytest.approx(4.0 / w)
+    assert report.max_multiplicity == 2
+    _assert_matches_definition(plan, region, xdcr, 4.0)
 
 
 def test_brute_force_flat_closed_form(xdcr):
