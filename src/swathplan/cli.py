@@ -153,7 +153,7 @@ def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
-    from .verifier import verify_plan  # numpy is only paid for by this subcommand
+    from .verifier import verify_plan  # a few ms to load, so only this subcommand pays
 
     try:
         with open(args.plan_file, encoding="utf-8") as fh:

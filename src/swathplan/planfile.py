@@ -76,7 +76,11 @@ def _parse_float(text: str, where: str) -> float:
         raise PlanParseError(f"{where}: not a number: {text!r}") from err
 
 
-def _rows_from_csv(text: str) -> list[tuple[float, float | None, float]]:
+# a parsed row: (where it came from, x, overlap with the previous line, width)
+_Row = tuple[str, float, float | None, float]
+
+
+def _rows_from_csv(text: str) -> list[_Row]:
     rows = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -96,13 +100,19 @@ def _rows_from_csv(text: str) -> list[tuple[float, float | None, float]]:
         x = _parse_float(fields[0], f"line {lineno} x_m")
         overlap = None if fields[1] == "" else _parse_float(fields[1], f"line {lineno} overlap")
         width = _parse_float(fields[2], f"line {lineno} width_m")
-        rows.append((x, overlap, width))
+        rows.append((f"line {lineno}", x, overlap, width))
     if not header_seen:
         raise PlanParseError("no header row found")
     return rows
 
 
-def _rows_from_json(text: str) -> list[tuple[float, float | None, float]]:
+def _json_float(value: object, key: str) -> float:
+    if isinstance(value, bool):  # float() would read true as 1.0
+        raise TypeError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _rows_from_json(text: str) -> list[_Row]:
     try:
         doc = json.loads(text)
     except ValueError as err:  # JSONDecodeError, or an integer literal too long to convert
@@ -114,14 +124,14 @@ def _rows_from_json(text: str) -> list[tuple[float, float | None, float]]:
         if not isinstance(entry, dict):
             raise PlanParseError(f"placement {i}: expected an object")
         try:
-            x = float(entry["x_m"])
-            width = float(entry["width_m"])
+            x = _json_float(entry["x_m"], "x_m")
+            width = _json_float(entry["width_m"], "width_m")
             overlap = entry.get("overlap_prev")
             if overlap is not None:
-                overlap = float(overlap)
+                overlap = _json_float(overlap, "overlap_prev")
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise PlanParseError(f"placement {i}: {err}") from err
-        rows.append((x, overlap, width))
+        rows.append((f"placement {i}", x, overlap, width))
     return rows
 
 
@@ -137,14 +147,15 @@ def read_plan(text: str, region: SurveyRegion) -> SurveyPlan:
     rows = _rows_from_json(text) if body.startswith(("{", "[")) else _rows_from_csv(text)
     if not rows:
         raise PlanParseError("plan file has no placement rows")
-    try:
-        # depth is not serialized; verification recomputes it from the profile
-        placements = tuple(
-            LinePlacement(
-                x=x, depth=float("nan"), swath_width=width, overlap_with_previous=overlap
+    placements = []
+    for where, x, overlap, width in rows:
+        try:
+            # depth is not serialized; verification recomputes it from the profile
+            placements.append(
+                LinePlacement(
+                    x=x, depth=float("nan"), swath_width=width, overlap_with_previous=overlap
+                )
             )
-            for x, overlap, width in rows
-        )
-    except ValueError as err:
-        raise PlanParseError(str(err)) from err
-    return SurveyPlan(placements=placements, line_length=region.length_ns)
+        except ValueError as err:
+            raise PlanParseError(f"{where}: {err}") from err
+    return SurveyPlan(placements=tuple(placements), line_length=region.length_ns)

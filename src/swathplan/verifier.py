@@ -2,18 +2,20 @@
 
 The raster path rebuilds every line's horizontal footprint from the depth
 profile and measures coverage on a 1-D grid of cell centers spanning the
-east-west extent. The grid-scan solver below shares no arithmetic with the
-planner's closed-form placement, and the vector construction of the
-cross-track slope none with geometry's closed form; each exists so the two
-sides can catch each other lying. This is the only module that needs numpy.
+east-west extent. It finds the cells each footprint holds by arithmetic on
+the footprint's two ends and never builds a per-cell array, so its time and
+memory grow with the line count, not the cell count. The grid-scan solver
+below shares no arithmetic with the planner's closed-form placement, and
+the vector construction of the cross-track slope none with geometry's
+closed form; each exists so the two sides can catch each other lying.
+Only those two oracles use numpy, and they import it when called, so the
+audit and every CLI subcommand run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NoSolutionInBracketError, SurfacedSeabedError
 from .geometry import TransducerSpec, _check_angles, horizontal_footprint
@@ -77,41 +79,66 @@ def rasterize_coverage(
         )
     profile = derive_profile(region)
     n_cells = int(math.ceil(region.width_ew / resolution))
-    centers = (np.arange(n_cells) + 0.5) * resolution
-    footprints = np.empty((len(plan.placements), 2))
-    for i, placement in enumerate(plan.placements):
+    # cell i's center is (i + 0.5) * resolution and the centers ascend, so
+    # the cells with lo <= center <= hi are the index range [first, stop)
+    ranges = []  # (first, stop, footprint extent) per line
+    for placement in plan.placements:
         section = swath_at(profile, xdcr, placement.x)
         proj_deep, proj_shallow = horizontal_footprint(section, profile.slope_alpha)
-        footprints[i] = placement.x - proj_deep, placement.x + proj_shallow
-    lo, hi = footprints.T
-    # the centers are sorted, so the cells with lo <= center <= hi are the
-    # index range [first, stop); coverage is the running sum of range ends
-    first = np.searchsorted(centers, lo, side="left")
-    stop = np.searchsorted(centers, hi, side="right")
-    cover = np.bincount(first, minlength=n_cells + 1)
-    cover -= np.bincount(stop, minlength=n_cells + 1)
-    cover = np.cumsum(cover, out=cover)[:n_cells]
-    shared = np.minimum(stop[:-1], stop[1:]) - np.maximum(first[:-1], first[1:])
-    extent = hi - lo
-    ratios = np.maximum(shared, 0) * resolution / (0.5 * (extent[:-1] + extent[1:]))
+        lo, hi = placement.x - proj_deep, placement.x + proj_shallow
+        first = _centers_below(lo, resolution, n_cells, inclusive=False)
+        stop = _centers_below(hi, resolution, n_cells, inclusive=True)
+        ranges.append((first, stop, hi - lo))
+    # coverage changes only at range ends: +1 at each first, -1 at each stop
+    steps = {0: 0, n_cells: 0}
+    for first, stop, _ in ranges:
+        steps[first] = steps.get(first, 0) + 1
+        steps[stop] = steps.get(stop, 0) - 1
+    ends = sorted(steps)
+    runs: list[list[int]] = []  # uncovered cell runs [start, end)
+    cover = max_cover = 0
+    for start, end in zip(ends, ends[1:]):  # cells [start, end) share one count
+        cover += steps[start]
+        max_cover = max(max_cover, cover)
+        if cover != 0:
+            continue
+        if runs and runs[-1][1] == start:
+            runs[-1][1] = end
+        else:
+            runs.append([start, end])
+    ratios = tuple(
+        max(0, min(stop_w, stop_e) - max(first_w, first_e)) * resolution / (0.5 * (ext_w + ext_e))
+        for (first_w, stop_w, ext_w), (first_e, stop_e, ext_e) in zip(ranges, ranges[1:])
+    )
     return CoverageReport(
         resolution=resolution,
-        uncovered_intervals=tuple(_zero_runs(cover, resolution, region.width_ew)),
-        pairwise_overlap_ratios=tuple(ratios.tolist()),
-        max_multiplicity=int(cover.max()) if n_cells else 0,
+        uncovered_intervals=tuple(
+            (start * resolution, min(end * resolution, region.width_ew)) for start, end in runs
+        ),
+        pairwise_overlap_ratios=ratios,
+        max_multiplicity=max_cover,
     )
 
 
-def _zero_runs(cover: np.ndarray, resolution: float, width_ew: float) -> list[tuple[float, float]]:
-    """Contiguous uncovered cell runs as (start, end) intervals in meters."""
-    gaps = (cover == 0).astype(np.int8)
-    edges = np.diff(np.concatenate(([0], gaps, [0])))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]  # exclusive cell index
-    return [
-        (float(s * resolution), float(min(e * resolution, width_ew)))
-        for s, e in zip(starts, ends)
-    ]
+def _centers_below(x: float, resolution: float, n_cells: int, inclusive: bool) -> int:
+    """Number of cell centers (i + 0.5) * resolution below x (at or below if inclusive).
+
+    x / resolution - 0.5 lands within a cell of the answer; the fix-up
+    compares against the very doubles (i + 0.5) * resolution, so the count
+    is exact however the division rounded.
+    """
+    guess = min(max(x / resolution - 0.5, -1.0), n_cells)  # clamped first: floor(inf) raises
+    k = min(math.floor(guess) + 1, n_cells)
+
+    def counted(i: int) -> bool:
+        center = (i + 0.5) * resolution
+        return center <= x if inclusive else center < x
+
+    while k > 0 and not counted(k - 1):
+        k -= 1
+    while k < n_cells and counted(k):
+        k += 1
+    return k
 
 
 def effective_slope_numeric(alpha_deg: float, beta_deg: float) -> float:
@@ -122,6 +149,8 @@ def effective_slope_numeric(alpha_deg: float, beta_deg: float) -> float:
     projection n4. Returns 0 by convention where a projection degenerates
     to zero length.
     """
+    import numpy as np
+
     _check_angles(alpha_deg, beta_deg)
     a = math.radians(alpha_deg)
     b = math.radians(beta_deg)
@@ -152,6 +181,8 @@ def brute_force_next_line(
     from the law of sines so the oracle shares nothing with the planner's
     solver path. Agreement with the closed form is within one step.
     """
+    import numpy as np
+
     if step <= 0.0:
         raise ValueError(f"scan step must be positive, got {step}")
     if not 0.0 < eta_target < 1.0:

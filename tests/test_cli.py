@@ -255,12 +255,17 @@ def test_outputs_are_deterministic():
     assert table_a.stdout == table_b.stdout
 
 
-# plan files for the verify cases below, written where the argument names them
+# plan files for the verify cases below, written where the argument names them,
+# and the row the error message must name
 NON_FINITE_PLANS = {
-    "x_inf.csv": "x_m,overlap_prev,width_m\ninf,,582.517\n",
-    "x_nan.csv": "x_m,overlap_prev,width_m\nnan,,582.517\n",
-    "width_inf.csv": "x_m,overlap_prev,width_m\n76.6,,inf\n",
-    "x_nan.json": '{"placements": [{"x_m": NaN, "overlap_prev": null, "width_m": 582.517}]}',
+    "x_inf.csv": ("x_m,overlap_prev,width_m\n76.6,,582.517\ninf,,582.517\n", "line 3"),
+    "x_nan.csv": ("x_m,overlap_prev,width_m\nnan,,582.517\n", "line 2"),
+    "width_inf.csv": ("x_m,overlap_prev,width_m\n76.6,,inf\n", "line 2"),
+    "x_nan.json": (
+        '{"placements": [{"x_m": 76.6, "overlap_prev": null, "width_m": 582.517},'
+        ' {"x_m": NaN, "overlap_prev": 0.1, "width_m": 582.517}]}',
+        "placement 1",
+    ),
 }
 
 
@@ -280,13 +285,17 @@ NON_FINITE_PLANS = {
 )
 def test_non_finite_input_exits_2(argv, tmp_path):
     argv = list(argv)
+    row = None
     if argv[-1] in NON_FINITE_PLANS:
         path = tmp_path / argv[-1]
-        path.write_text(NON_FINITE_PLANS[argv[-1]], encoding="utf-8")
+        text, row = NON_FINITE_PLANS[argv[-1]]
+        path.write_text(text, encoding="utf-8")
         argv[-1] = str(path)
     proc = run_cli(*argv, timeout=60)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    if row is not None:
+        assert f"error: {row}: " in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
@@ -311,8 +320,14 @@ BIG_INT = "1" + "0" * 5000  # past the 4,300 digits that int() converts from tex
         # too large for a float, and not a number at all
         (("verify",), f'{{"placements": [{{"x_m": 1{"0" * 400}, "width_m": 582.517}}]}}'),
         (("verify",), '{"placements": [{"x_m": 76.6, "width_m": 582.517, "overlap_prev": "x"}]}'),
+        # JSON booleans are not numbers, although float(true) is 1.0
+        (("verify",), '{"placements": [{"x_m": true, "width_m": 582.517}]}'),
+        (("verify",), '{"placements": [{"x_m": 76.6, "width_m": false}]}'),
     ],
-    ids=["config-long-int", "plan-long-int", "plan-float-overflow", "plan-text-overlap"],
+    ids=[
+        "config-long-int", "plan-long-int", "plan-float-overflow", "plan-text-overlap",
+        "plan-bool-x", "plan-bool-width",
+    ],
 )
 def test_unconvertible_json_number_exits_2(argv, text, tmp_path):
     path = tmp_path / "doc.json"
@@ -323,18 +338,16 @@ def test_unconvertible_json_number_exits_2(argv, text, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_numpy_is_loaded_by_verify_only():
-    script = (
-        "import contextlib, io, sys\n"
-        "import swathplan\n"
-        "from swathplan import cli\n"
-        "assert 'numpy' not in sys.modules, 'import swathplan'\n"
-        "for cmd in ('plan', 'width-table', 'plot-data'):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main([cmd]) == 0\n"
-        "    assert 'numpy' not in sys.modules, cmd\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_no_subcommand_loads_numpy(tmp_path):
+    plan = str(tmp_path / "plan.csv")
+    for argv in (["plan", "--out", plan], ["verify", plan], ["width-table"], ["plot-data"]):
+        # -X importtime lists on stderr every module the process imports
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "swathplan", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "swathplan.cli" in proc.stderr
+        assert "numpy" not in proc.stderr, argv

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -192,6 +193,59 @@ def test_rasterize_footprints_narrower_than_a_cell(xdcr):
     assert report.pairwise_overlap_ratios[3] == pytest.approx(4.0 / w)
     assert report.max_multiplicity == 2
     _assert_matches_definition(plan, region, xdcr, 4.0)
+
+
+def _x_with_edge(profile, xdcr, target, east):
+    """A line position whose footprint's west (or east) edge is exactly target."""
+    deep, shallow = horizontal_footprint(swath_at(profile, xdcr, target), profile.slope_alpha)
+    x = target - shallow if east else target + deep
+    for _ in range(64):
+        deep, shallow = horizontal_footprint(swath_at(profile, xdcr, x), profile.slope_alpha)
+        edge = x + shallow if east else x - deep
+        if edge == target:
+            return x
+        x = math.nextafter(x, math.inf if edge < target else -math.inf)
+    raise AssertionError(f"no line position puts an edge on {target!r}")
+
+
+@pytest.mark.parametrize("resolution, cells", [(4.0, (2, 50)), (0.1, (164, 2000, 3141))])
+def test_rasterize_edges_one_ulp_beside_a_center(xdcr, resolution, cells):
+    # for an edge on or one ulp beside a center, x / resolution - 0.5 sits
+    # within rounding of the center's index, so only the comparison with the
+    # center's double decides (at 0.1 m, cell 164's own center gives just
+    # under 164)
+    region = SurveyRegion(width_ew=400.0, length_ns=100.0, center_depth=0.5, slope_alpha=0.0)
+    profile = derive_profile(region)
+    lines = []
+    for i in cells:
+        center = (i + 0.5) * resolution
+        below, above = math.nextafter(center, -math.inf), math.nextafter(center, math.inf)
+        for target in (below, center, above):
+            for east in (False, True):
+                x = _x_with_edge(profile, xdcr, target, east)
+                lines.append(
+                    LinePlacement(x=x, depth=0.5, swath_width=1.0, overlap_with_previous=None)
+                )
+    for line in lines:
+        _assert_matches_definition(_plan_of([line], region), region, xdcr, resolution)
+    _assert_matches_definition(_plan_of(lines, region), region, xdcr, resolution)
+
+
+def test_rasterize_memory_does_not_grow_with_cells(xdcr):
+    # 200 NM at 0.1 m is 3,704,000 cells; one byte per cell would be 3.5 MiB
+    region = SurveyRegion(
+        width_ew=200 * 1852.0, length_ns=3704.0, center_depth=4000.0, slope_alpha=1.0
+    )
+    plan = plan_survey(region, xdcr, 0.10)
+    tracemalloc.start()
+    try:
+        report = rasterize_coverage(plan, region, xdcr, resolution=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.uncovered_intervals == ()
+    assert len(report.pairwise_overlap_ratios) == len(plan.placements) - 1
+    assert peak < 2**20
 
 
 def test_brute_force_flat_closed_form(xdcr):
