@@ -124,10 +124,17 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         ]
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
+        # one % operation per row; "%.{sig}g" prints what format_sig prints
+        spec = f"%.{sig}g"
+        full_row = ",".join([spec] * len(labels))
         lines = ["heading_deg," + ",".join(labels)]
         for heading, row in zip(cfg.headings_deg, grid):
-            cells = ["ERR" if w is None else format_sig(w, sig) for w in row]
-            lines.append(format_sig(heading, sig) + "," + ",".join(cells))
+            if None in row:
+                template = ",".join("ERR" if w is None else spec for w in row)
+                row = [w for w in row if w is not None]
+            else:
+                template = full_row
+            lines.append(spec % heading + "," + template % tuple(row))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

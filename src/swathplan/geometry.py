@@ -3,6 +3,9 @@
 All angles cross the public interface in degrees and all lengths in meters.
 Depths are positive numbers measured downward from the sea surface. The
 seabed frame puts +x in the downhill direction, so depth grows along +x.
+``width_table`` computes the depth under a ship on a straight line through
+the frame origin (affine in the along-line distance); the planner keeps its
+own depth profile across the survey region.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BeamGrazeError, InvalidDepthError, SurfacedSeabedError
+from .errors import BeamGrazeError, InvalidDepthError
 
 # Reject cross-track slopes this close (degrees) to the outer-beam angle;
 # the deep-side extent diverges as the beam becomes parallel to the bed.
@@ -60,26 +63,6 @@ class TransducerSpec:
 
 
 @dataclass(frozen=True)
-class ShipFix:
-    """Ship position on a straight survey line through the frame origin.
-
-    Attributes
-    ----------
-    distance_from_center : float
-        Signed along-line distance (m) from the origin; negative is astern.
-    heading_beta : float
-        Line heading (deg) measured from +x (the downhill direction), in [0, 360).
-    """
-
-    distance_from_center: float
-    heading_beta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.heading_beta < 360.0:
-            raise ValueError(f"heading must be in [0, 360) degrees, got {self.heading_beta}")
-
-
-@dataclass(frozen=True)
 class SwathCrossSection:
     """Across-track swath geometry at one ship fix.
 
@@ -92,29 +75,6 @@ class SwathCrossSection:
     half_deep: float
     half_shallow: float
     total_width: float
-
-
-def along_line_depth(seabed: PlanarSeabed, fix: ShipFix) -> float:
-    """Water depth (m) under the ship at a fix on a straight line.
-
-    The bed is planar, so depth is affine in the along-line distance with
-    slope cos(beta) * tan(alpha): a heading of 0 runs straight downhill,
-    90/270 follow a depth contour, 180 runs uphill.
-
-    Raises
-    ------
-    SurfacedSeabedError
-        If the fix lies beyond the line where the bed breaks the surface.
-    """
-    depth = seabed.reference_depth + fix.distance_from_center * math.cos(
-        math.radians(fix.heading_beta)
-    ) * math.tan(math.radians(seabed.slope_alpha))
-    if depth <= 0.0:
-        raise SurfacedSeabedError(
-            f"surfaced seabed: depth {depth:.3f} m at distance "
-            f"{fix.distance_from_center:.3f} m on heading {fix.heading_beta:g} deg"
-        )
-    return depth
 
 
 def _check_angles(alpha_deg: float, beta_deg: float) -> None:
@@ -210,10 +170,14 @@ def width_table(
 
     Rows follow ``headings``, columns follow ``distances`` (meters along the
     line from the frame origin). Cells whose geometry fails (surfaced bed,
-    grazing beam) carry None; the rest of the grid keeps computing.
+    grazing beam) or whose width overflows to infinity carry None; the rest
+    of the grid keeps computing.
 
-    Width is linear in depth, so each row computes its unit-depth width once
-    and each cell scales it by the same along-line depth as along_line_depth.
+    The depth under the ship is affine in the along-line distance, with
+    slope cos(beta) * tan(alpha): a heading of 0 runs straight downhill,
+    90/270 follow a depth contour, 180 runs uphill. Width is linear in
+    depth, so each row computes its unit-depth width once and each cell
+    scales it by that depth.
     """
     ta = math.tan(math.radians(seabed.slope_alpha))
     rows: list[list[float | None]] = []
@@ -230,5 +194,7 @@ def width_table(
         for dist in distances:
             depth = seabed.reference_depth + dist * cosb * ta
             row.append(depth * unit_width if depth > 0.0 else None)
+        if math.inf in row:  # a huge distance or a near-grazing fan overflowed
+            row = [None if w == math.inf else w for w in row]
         rows.append(row)
     return rows

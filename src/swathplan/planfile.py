@@ -70,6 +70,9 @@ def write_plan_json(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
 
 
 def _parse_float(text: str, where: str) -> float:
+    # float() would also read " 76.6 ", "5_82.517" and non-ASCII digits
+    if text != text.strip() or "_" in text or not text.isascii():
+        raise PlanParseError(f"{where}: not a number: {text!r}")
     try:
         return float(text)
     except ValueError as err:
@@ -107,7 +110,8 @@ def _rows_from_csv(text: str) -> list[_Row]:
 
 
 def _json_float(value: object, key: str) -> float:
-    if isinstance(value, bool):  # float() would read true as 1.0
+    # float() would also read true as 1.0 and the string " 76.6 " as 76.6
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key} must be a number, got {json.dumps(value)}")
     return float(value)
 

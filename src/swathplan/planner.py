@@ -128,9 +128,17 @@ def overlap_ratio(
     on horizontal projections; the two conventions differ by roughly a
     factor cos(alpha), which is documented rather than hidden.
     """
-    w_mean = 0.5 * (
-        swath_at(profile, xdcr, x_west).total_width + swath_at(profile, xdcr, x_east).total_width
+    return _overlap(
+        x_west,
+        swath_at(profile, xdcr, x_west).total_width,
+        x_east,
+        swath_at(profile, xdcr, x_east).total_width,
     )
+
+
+def _overlap(x_west: float, w_west: float, x_east: float, w_east: float) -> float:
+    """1 - d / w_mean for lines at x_west and x_east with total widths w_west, w_east."""
+    w_mean = 0.5 * (w_west + w_east)
     return 1.0 - (x_east - x_west) / w_mean
 
 
@@ -235,8 +243,10 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
                 raise RegionExhaustedError(
                     f"region exhausted: placement stalled at x = {x:.3f} m"
                 )
-            achieved = overlap_ratio(profile, xdcr, x, x_next)
+            # overlap_ratio(x, x_next), from the two sections at hand
+            w_prev = section.total_width
             section = swath_at(profile, xdcr, x_next)
+            achieved = _overlap(x, w_prev, x_next, section.total_width)
             placements.append(
                 LinePlacement(x_next, section.local_depth, section.total_width, achieved)
             )

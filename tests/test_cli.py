@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from swathplan.cli import main
+from swathplan.geometry import PlanarSeabed, TransducerSpec, width_table
+from swathplan.units import nm_to_m
 
 
 def run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -74,6 +76,63 @@ def test_width_table_json(capsys):
     assert doc[0]["widths_m"]["0"] == pytest.approx(415.692, abs=1e-3)
     assert doc[1]["widths_m"]["0"] is None  # grazing cell
     assert doc[1]["widths_m"]["0.5"] is None
+
+
+def _no_constants(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+def test_width_table_overflow_prints_err(capsys):
+    # 1e306 NM overflows to infinite meters
+    argv = ["width-table", "--headings-deg", "0,180", "--distances-nm", "1e306,-1e306"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["heading_deg,1e+306,-1e+306", "0,ERR,ERR", "180,ERR,ERR"]
+    # finite inputs whose width overflows; JSON has no Infinity
+    argv = ["width-table", "--alpha-deg", "89", "--theta-deg", "179.9", "--headings-deg", "0",
+            "--distances-nm", "1e300", "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert doc == [{"heading_deg": 0.0, "widths_m": {"1e+300": None}}]
+
+
+# ERR cells in the middle (0.1, 0.2) and at the end (0.5) of the uphill row,
+# an all-ERR row at 90 (the 45 deg bed grazes the 120 deg fan) and
+# all-numeric rows at 0, 10 and 350
+ROW_TEST_HEADINGS = [0.0, 10.0, 90.0, 180.0, 350.0]
+ROW_TEST_DISTANCES_NM = [0.0, 0.03, 0.1, -0.03, 0.2, 0.01, 0.5]
+
+
+@pytest.mark.parametrize("sig", [1, 6, 17])
+def test_width_table_rows_match_per_cell_formatting(sig, tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "seabed": {"reference_depth_m": 120.0, "slope_alpha_deg": 45.0},
+                "transducer": {"opening_angle_deg": 120.0},
+                "headings_deg": ROW_TEST_HEADINGS,
+                "distances_nm": ROW_TEST_DISTANCES_NM,
+                "precision": sig,
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["width-table", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    grid = width_table(
+        PlanarSeabed(120.0, 45.0),
+        TransducerSpec(120.0),
+        ROW_TEST_HEADINGS,
+        [nm_to_m(d) for d in ROW_TEST_DISTANCES_NM],
+    )
+    assert [row.count(None) for row in grid] == [0, 0, 7, 3, 0]
+    expected = ["heading_deg," + ",".join(f"{d:.{sig}g}" for d in ROW_TEST_DISTANCES_NM)]
+    for heading, row in zip(ROW_TEST_HEADINGS, grid):
+        cells = ["ERR" if w is None else f"{w:.{sig}g}" for w in row]
+        expected.append(f"{heading:.{sig}g}," + ",".join(cells))
+    assert lines == expected
 
 
 def test_width_table_rejects_bad_list():
@@ -261,6 +320,11 @@ NON_FINITE_PLANS = {
     "x_inf.csv": ("x_m,overlap_prev,width_m\n76.6,,582.517\ninf,,582.517\n", "line 3"),
     "x_nan.csv": ("x_m,overlap_prev,width_m\nnan,,582.517\n", "line 2"),
     "width_inf.csv": ("x_m,overlap_prev,width_m\n76.6,,inf\n", "line 2"),
+    # numbers written as text: float() would strip the blanks, drop the "_"
+    # and read the full-width digits
+    "x_blank.csv": ("x_m,overlap_prev,width_m\n76.6,,582.517\n 358.5 ,,582.517\n", "line 3 x_m"),
+    "width_underscore.csv": ("x_m,overlap_prev,width_m\n76.6,,5_82.517\n", "line 2 width_m"),
+    "x_fullwidth.csv": ("x_m,overlap_prev,width_m\n\uff17\uff16.6,,582.517\n", "line 2 x_m"),
     "x_nan.json": (
         '{"placements": [{"x_m": 76.6, "overlap_prev": null, "width_m": 582.517},'
         ' {"x_m": NaN, "overlap_prev": 0.1, "width_m": 582.517}]}',
@@ -281,6 +345,9 @@ NON_FINITE_PLANS = {
         ("verify", "x_nan.csv"),
         ("verify", "width_inf.csv"),
         ("verify", "x_nan.json"),
+        ("verify", "x_blank.csv"),
+        ("verify", "width_underscore.csv"),
+        ("verify", "x_fullwidth.csv"),
     ],
 )
 def test_non_finite_input_exits_2(argv, tmp_path):
@@ -313,28 +380,46 @@ BIG_INT = "1" + "0" * 5000  # past the 4,300 digits that int() converts from tex
 
 
 @pytest.mark.parametrize(
-    "argv, text",
+    "argv, text, where",
     [
-        (("plan", "--config"), f'{{"eta_target": {BIG_INT}}}'),
-        (("verify",), f'{{"placements": [{{"x_m": {BIG_INT}, "width_m": 582.517}}]}}'),
+        (("plan", "--config"), f'{{"eta_target": {BIG_INT}}}', None),
+        (("verify",), f'{{"placements": [{{"x_m": {BIG_INT}, "width_m": 582.517}}]}}', None),
         # too large for a float, and not a number at all
-        (("verify",), f'{{"placements": [{{"x_m": 1{"0" * 400}, "width_m": 582.517}}]}}'),
-        (("verify",), '{"placements": [{"x_m": 76.6, "width_m": 582.517, "overlap_prev": "x"}]}'),
+        (
+            ("verify",),
+            f'{{"placements": [{{"x_m": 1{"0" * 400}, "width_m": 582.517}}]}}',
+            "placement 0",
+        ),
+        (
+            ("verify",),
+            '{"placements": [{"x_m": 76.6, "width_m": 582.517, "overlap_prev": "x"}]}',
+            "placement 0",
+        ),
         # JSON booleans are not numbers, although float(true) is 1.0
-        (("verify",), '{"placements": [{"x_m": true, "width_m": 582.517}]}'),
-        (("verify",), '{"placements": [{"x_m": 76.6, "width_m": false}]}'),
+        (("verify",), '{"placements": [{"x_m": true, "width_m": 582.517}]}', "placement 0"),
+        (("verify",), '{"placements": [{"x_m": 76.6, "width_m": false}]}', "placement 0"),
+        # nor are strings, although float(" 76.6 ") is 76.6 and float("5_82.517") 582.517
+        (
+            ("verify",),
+            '{"placements": [{"x_m": 76.6, "width_m": 582.517},'
+            ' {"x_m": " 76.6 ", "width_m": 582.517}]}',
+            "placement 1",
+        ),
+        (("verify",), '{"placements": [{"x_m": 76.6, "width_m": "5_82.517"}]}', "placement 0"),
     ],
     ids=[
         "config-long-int", "plan-long-int", "plan-float-overflow", "plan-text-overlap",
-        "plan-bool-x", "plan-bool-width",
+        "plan-bool-x", "plan-bool-width", "plan-text-x", "plan-text-width",
     ],
 )
-def test_unconvertible_json_number_exits_2(argv, text, tmp_path):
+def test_unconvertible_json_number_exits_2(argv, text, where, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     proc = run_cli(*argv, str(path), timeout=60)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    if where is not None:
+        assert f"error: {where}: " in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
 
 

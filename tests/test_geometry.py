@@ -7,13 +7,11 @@ import random
 
 import pytest
 
-from swathplan.errors import BeamGrazeError, InvalidDepthError, SurfacedSeabedError
+from swathplan.errors import BeamGrazeError, InvalidDepthError
 from swathplan.geometry import (
     PlanarSeabed,
-    ShipFix,
     SwathCrossSection,
     TransducerSpec,
-    along_line_depth,
     effective_slope,
     horizontal_footprint,
     swath_cross_section,
@@ -22,26 +20,31 @@ from swathplan.geometry import (
 from swathplan.verifier import effective_slope_numeric
 
 
-def test_along_line_depth_is_affine_in_distance(seabed):
+def _depth_under(seabed, xdcr, beta, dist):
+    """Depth under the ship, read back as a width_table cell over the unit-depth width."""
+    unit = swath_cross_section(1.0, effective_slope(seabed.slope_alpha, beta), xdcr).total_width
+    return width_table(seabed, xdcr, [beta], [dist])[0][0] / unit
+
+
+def test_along_line_depth_is_affine_in_distance(seabed, xdcr):
     # 0.3 NM straight downhill: 120 + 555.6 * tan(1.5 deg)
-    fix = ShipFix(distance_from_center=555.6, heading_beta=0.0)
-    assert along_line_depth(seabed, fix) == pytest.approx(134.54889802384025, rel=1e-12)
+    assert _depth_under(seabed, xdcr, 0.0, 555.6) == pytest.approx(134.54889802384025, rel=1e-12)
 
 
-def test_along_line_depth_heading_projection(seabed):
-    downhill = along_line_depth(seabed, ShipFix(1000.0, 0.0))
-    uphill = along_line_depth(seabed, ShipFix(1000.0, 180.0))
-    contour = along_line_depth(seabed, ShipFix(1000.0, 90.0))
+def test_along_line_depth_heading_projection(seabed, xdcr):
+    downhill = _depth_under(seabed, xdcr, 0.0, 1000.0)
+    uphill = _depth_under(seabed, xdcr, 180.0, 1000.0)
+    contour = _depth_under(seabed, xdcr, 90.0, 1000.0)
     assert downhill > seabed.reference_depth > uphill
     assert contour == pytest.approx(seabed.reference_depth, rel=1e-15)
     # running the same distance astern mirrors the depth change
-    astern = along_line_depth(seabed, ShipFix(-1000.0, 0.0))
+    astern = _depth_under(seabed, xdcr, 0.0, -1000.0)
     assert astern == pytest.approx(uphill, rel=1e-12)
 
 
-def test_along_line_depth_rejects_dry_fix(seabed):
-    with pytest.raises(SurfacedSeabedError, match="surfaced seabed"):
-        along_line_depth(seabed, ShipFix(-5000.0, 0.0))
+def test_along_line_depth_rejects_dry_fix(seabed, xdcr):
+    # 5 km astern on the downhill heading the bed is above the surface
+    assert width_table(seabed, xdcr, [0.0], [-5000.0]) == [[None]]
 
 
 def test_effective_slope_known_values():
@@ -172,7 +175,9 @@ def test_width_table_layout(seabed, xdcr):
     for i, beta in enumerate(headings):
         gamma = effective_slope(seabed.slope_alpha, beta)
         for j, dist in enumerate(distances):
-            depth = along_line_depth(seabed, ShipFix(dist, beta))
+            depth = seabed.reference_depth + dist * math.cos(math.radians(beta)) * math.tan(
+                math.radians(seabed.slope_alpha)
+            )
             expected = swath_cross_section(depth, gamma, xdcr).total_width
             assert grid[i][j] == pytest.approx(expected, rel=1e-15)
     # distance 0 on the downhill heading is the flat-depth anchor
@@ -199,6 +204,16 @@ def test_width_table_marks_failed_cells(xdcr):
     assert grid[0][0] is not None
     assert grid[0][1] is None  # uphill run crosses the waterline
 
+    # a width past the float range is no width: a distance that overflows
+    # downhill, and finite inputs whose product overflows
+    grid = width_table(gentle, xdcr, [0.0, 180.0], [1.0, 1e308 * 1852.0, -1e308 * 1852.0])
+    assert grid[0][0] is not None and grid[1][0] is not None
+    assert grid[0][1:] == [None, None] and grid[1][1:] == [None, None]
+    steep = PlanarSeabed(reference_depth=120.0, slope_alpha=89.0)
+    row = width_table(steep, TransducerSpec(179.9), [0.0], [0.0, 1e300 * 1852.0])[0]
+    assert row[0] is not None and math.isfinite(row[0])
+    assert row[1] is None
+
 
 def test_model_input_validation():
     with pytest.raises(ValueError, match="opening angle"):
@@ -210,7 +225,7 @@ def test_model_input_validation():
     with pytest.raises(ValueError, match="slope angle"):
         PlanarSeabed(reference_depth=10.0, slope_alpha=90.0)
     with pytest.raises(ValueError, match="heading"):
-        ShipFix(distance_from_center=0.0, heading_beta=-1.0)
+        width_table(PlanarSeabed(10.0, 1.0), TransducerSpec(120.0), [-1.0], [0.0])
     assert TransducerSpec(120.0).half_angle == 60.0
     for depth in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):

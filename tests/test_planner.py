@@ -17,6 +17,7 @@ from swathplan.errors import (
 from swathplan.geometry import TransducerSpec, horizontal_footprint
 from swathplan.planner import (
     DepthProfile,
+    LinePlacement,
     SurveyRegion,
     depth_at_x,
     derive_profile,
@@ -279,4 +280,46 @@ def test_placement_contract_over_the_envelope():
         assert first.x - proj_deep <= 0.0, (alpha, theta, eta)
         for p in plan.placements[1:]:
             assert p.overlap_with_previous >= eta, (alpha, theta, eta)
+    assert planned >= 150
+
+
+def test_plan_survey_equals_the_step_by_step_layout():
+    """plan_survey reuses each new line's section for the achieved overlap.
+
+    Laying the lines out one call at a time through the public solves,
+    with overlap_ratio and swath_at evaluated afresh for every pair, gives
+    the same placements to the last bit.
+    """
+    rng = random.Random(2408)
+    planned = 0
+    for _ in range(200):
+        alpha = rng.uniform(0.0, 5.0)
+        theta = rng.uniform(60.0, 150.0)
+        eta = rng.uniform(0.05, 0.95)
+        center = rng.uniform(40.0, 300.0)
+        region = SurveyRegion(
+            width_ew=rng.uniform(1.0, 10.0) * center,
+            length_ns=1000.0,
+            center_depth=center,
+            slope_alpha=alpha,
+        )
+        fan = TransducerSpec(opening_angle_theta=theta)
+        try:
+            plan = plan_survey(region, fan, eta)
+        except PlanningError:
+            continue
+        planned += 1
+        profile = derive_profile(region)
+        x = first_line_position(profile, fan, x_max=region.width_ew)
+        section = swath_at(profile, fan, x)
+        expected = [LinePlacement(x, section.local_depth, section.total_width, None)]
+        while x + horizontal_footprint(section, alpha)[1] < region.width_ew:
+            x_next = next_line_position(profile, fan, x, eta)
+            achieved = overlap_ratio(profile, fan, x, x_next)
+            section = swath_at(profile, fan, x_next)
+            expected.append(
+                LinePlacement(x_next, section.local_depth, section.total_width, achieved)
+            )
+            x = x_next
+        assert plan.placements == tuple(expected), (alpha, theta, eta)
     assert planned >= 150
