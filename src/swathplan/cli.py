@@ -170,17 +170,17 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     region = cfg.region()
     plan = read_plan(text, region)
     result = verify_plan(plan, region, cfg.transducer(), cfg.eta_min, cfg.eta_max)
-    for finding in result.findings:
-        print(f"finding: {finding}")
+    lines = [f"finding: {finding}" for finding in result.findings]
     if result.passed:
-        print(
+        lines.append(
             f"PASS: {plan.line_count} lines cover the region; "
             f"{len(result.report.pairwise_overlap_ratios)} adjacent pairs inside "
             f"[{cfg.eta_min:g}, {cfg.eta_max:g}] with slack"
         )
-        return 0
-    print(f"FAIL: {len(result.findings)} finding(s)")
-    return 1
+    else:
+        lines.append(f"FAIL: {len(result.findings)} finding(s)")
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0 if result.passed else 1
 
 
 def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:

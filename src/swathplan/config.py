@@ -111,6 +111,10 @@ def _merge(doc: dict[str, Any], raw: dict[str, Any]) -> None:
         elif key == "precision":
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"precision must be a positive integer, got {value!r}")
+            try:
+                format(0.0, f".{value}g")  # the float formatter caps precision
+            except ValueError as err:
+                raise ConfigError(f"precision too big to format, got {value!r}") from err
             doc[key] = value
         else:
             doc[key] = _require_number(value, key)

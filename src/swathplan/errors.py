@@ -34,7 +34,3 @@ class NoFeasibleStartError(PlanningError):
 
 class RegionExhaustedError(PlanningError):
     """The seabed surfaces before line placement can finish covering the region."""
-
-
-class NoSolutionInBracketError(PlanningError):
-    """A candidate scan ran through its bracket without an acceptable position."""

@@ -154,12 +154,7 @@ def read_plan(text: str, region: SurveyRegion) -> SurveyPlan:
     placements = []
     for where, x, overlap, width in rows:
         try:
-            # depth is not serialized; verification recomputes it from the profile
-            placements.append(
-                LinePlacement(
-                    x=x, depth=float("nan"), swath_width=width, overlap_with_previous=overlap
-                )
-            )
+            placements.append(LinePlacement(x, width, overlap))
         except ValueError as err:
             raise PlanParseError(f"{where}: {err}") from err
     return SurveyPlan(placements=tuple(placements), line_length=region.length_ns)

@@ -61,12 +61,10 @@ class LinePlacement:
     """One north-south survey line and the geometry recorded for reports."""
 
     x: float
-    depth: float
     swath_width: float  # bed-measured total width, m
     overlap_with_previous: float | None  # None on the westmost line
 
     def __post_init__(self):
-        # depth is not checked: a parsed plan file carries NaN there on purpose
         if not (math.isfinite(self.x) and math.isfinite(self.swath_width)):
             raise ValueError(f"line x and width must be finite, got {self.x}, {self.swath_width}")
         if self.overlap_with_previous is not None and not (
@@ -118,30 +116,6 @@ def swath_at(profile: DepthProfile, xdcr: TransducerSpec, x: float) -> SwathCros
     return swath_cross_section(depth_at_x(profile, x), profile.slope_alpha, xdcr)
 
 
-def overlap_ratio(
-    profile: DepthProfile, xdcr: TransducerSpec, x_west: float, x_east: float
-) -> float:
-    """Overlap fraction eta between two adjacent lines.
-
-    Defined through the spacing relation d = (1 - eta) * w_mean with w_mean
-    the mean of the two bed-measured widths. Coverage tests elsewhere work
-    on horizontal projections; the two conventions differ by roughly a
-    factor cos(alpha), which is documented rather than hidden.
-    """
-    return _overlap(
-        x_west,
-        swath_at(profile, xdcr, x_west).total_width,
-        x_east,
-        swath_at(profile, xdcr, x_east).total_width,
-    )
-
-
-def _overlap(x_west: float, w_west: float, x_east: float, w_east: float) -> float:
-    """1 - d / w_mean for lines at x_west and x_east with total widths w_west, w_east."""
-    w_mean = 0.5 * (w_west + w_east)
-    return 1.0 - (x_east - x_west) / w_mean
-
-
 def first_line_position(
     profile: DepthProfile, xdcr: TransducerSpec, x_max: float | None = None
 ) -> float:
@@ -173,38 +147,6 @@ def first_line_position(
     return x
 
 
-def next_line_position(
-    profile: DepthProfile, xdcr: TransducerSpec, x_prev: float, eta_target: float
-) -> float:
-    """x of the next line east of x_prev holding the target overlap fraction.
-
-    With width K * depth (K the total width at unit depth) and depth falling
-    by tan(alpha) per meter, the overlap definition is linear in the step:
-
-        step = (1 - eta) * K * D_prev / (1 + (1 - eta) * K * tan(alpha) / 2).
-
-    The achieved overlap never undershoots the target and exceeds it by a
-    few ulps at most.
-
-    Raises RegionExhaustedError when (1 - eta) * K * tan(alpha) / 2 >= 1:
-    the bed would surface at or before the position the target asks for.
-    """
-    if not 0.0 < eta_target < 1.0:
-        raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    ta = math.tan(math.radians(profile.slope_alpha))
-    # the part of the unit-depth width that the target leaves unshared
-    free = (1.0 - eta_target) * swath_cross_section(1.0, profile.slope_alpha, xdcr).total_width
-    if 0.5 * free * ta >= 1.0:
-        raise RegionExhaustedError(
-            f"region exhausted: seabed surfaces near x = {profile.west_edge_depth / ta:.3f} m "
-            f"before the overlap can drop to {eta_target:g}"
-        )
-    x = x_prev + free * depth_at_x(profile, x_prev) / (1.0 + 0.5 * free * ta)
-    while overlap_ratio(profile, xdcr, x_prev, x) < eta_target:
-        x = math.nextafter(x, -math.inf)
-    return x
-
-
 def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -> SurveyPlan:
     """Greedy west-to-east plan: lines at the target overlap until covered.
 
@@ -212,6 +154,10 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     keeps the target overlap with its predecessor; placement stops once a
     line's shallow edge reaches the east boundary. Infeasibility surfaces as
     a PlanningError carrying whatever partial plan existed.
+
+    The overlap of two lines is 1 - d / w_mean, with d their spacing and
+    w_mean the mean of their bed-measured widths. Coverage checks elsewhere
+    work on horizontal projections, shorter by about a factor cos(alpha).
     """
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
@@ -227,29 +173,44 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         )
     placements: list[LinePlacement] = []
     try:
+        # the part of the unit-depth width K that the target leaves unshared
+        free = (1.0 - eta_target) * swath_cross_section(1.0, profile.slope_alpha, xdcr).total_width
         x = first_line_position(profile, xdcr, x_max=region.width_ew)
         section = swath_at(profile, xdcr, x)
-        placements.append(
-            LinePlacement(x, section.local_depth, section.total_width, None)
-        )
+        placements.append(LinePlacement(x, section.total_width, None))
         while True:
             _, proj_shallow = horizontal_footprint(section, profile.slope_alpha)
             if x + proj_shallow >= region.width_ew:
                 break
-            x_next = next_line_position(profile, xdcr, x, eta_target)
+            # With width K * depth and depth falling by tan(alpha) per meter,
+            # the overlap 1 - step / w_mean is linear in the step:
+            #
+            #     step = (1 - eta) * K * D_prev / (1 + (1 - eta) * K * tan(alpha) / 2).
+            #
+            # No step exists once (1 - eta) * K * tan(alpha) / 2 >= 1: the bed
+            # would surface at or before the position the target asks for.
+            if 0.5 * free * ta >= 1.0:
+                raise RegionExhaustedError(
+                    f"region exhausted: seabed surfaces near x = "
+                    f"{profile.west_edge_depth / ta:.3f} m "
+                    f"before the overlap can drop to {eta_target:g}"
+                )
+            w_prev = section.total_width
+            x_next = x + free * section.local_depth / (1.0 + 0.5 * free * ta)
+            section = swath_at(profile, xdcr, x_next)
+            # nudge west by ulps until the achieved overlap never undershoots
+            while (
+                achieved := 1.0 - (x_next - x) / (0.5 * (w_prev + section.total_width))
+            ) < eta_target:
+                x_next = math.nextafter(x_next, -math.inf)
+                section = swath_at(profile, xdcr, x_next)
             # a target near 1 over a nearly dry east edge shrinks the step
             # below 1e-9 of x; stop here instead of placing billions of lines
             if x_next - x <= 1e-9 * max(1.0, x):
                 raise RegionExhaustedError(
                     f"region exhausted: placement stalled at x = {x:.3f} m"
                 )
-            # overlap_ratio(x, x_next), from the two sections at hand
-            w_prev = section.total_width
-            section = swath_at(profile, xdcr, x_next)
-            achieved = _overlap(x, w_prev, x_next, section.total_width)
-            placements.append(
-                LinePlacement(x_next, section.local_depth, section.total_width, achieved)
-            )
+            placements.append(LinePlacement(x_next, section.total_width, achieved))
             x = x_next
     except PlanningError as err:
         if placements:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoSolutionInBracketError, SurfacedSeabedError
+from .errors import SurfacedSeabedError
 from .geometry import TransducerSpec, _check_angles, horizontal_footprint
 from .planner import DepthProfile, SurveyPlan, SurveyRegion, derive_profile, swath_at
 
@@ -201,7 +201,7 @@ def brute_force_next_line(
     w_prev = depth_prev * k_width
     n = int(math.floor(w_prev / step + 1e-12))
     if n < 1:
-        raise NoSolutionInBracketError(
+        raise ValueError(
             f"no solution in bracket: scan step {step:g} m exceeds the "
             f"{w_prev:g} m bracket"
         )
@@ -211,7 +211,7 @@ def brute_force_next_line(
     etas = 1.0 - (xs - x_prev) / (0.5 * (w_prev + widths))
     hits = np.nonzero((depths > 0.0) & (etas >= eta_target))[0]
     if hits.size == 0:
-        raise NoSolutionInBracketError(
+        raise ValueError(
             f"no solution in bracket: no candidate reaches overlap {eta_target:g}"
         )
     # etas fall with x, so the last ascending hit is the first one met

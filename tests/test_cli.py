@@ -242,6 +242,24 @@ def test_verify_passes_flat_bed_plan(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS")
 
 
+def test_verify_out_writes_the_report(tmp_path, capsys):
+    plan_path = tmp_path / "plan.csv"
+    assert main(["plan", "--out", str(plan_path)]) == 0
+    rows = plan_path.read_text(encoding="utf-8").splitlines()
+    del rows[10]
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    report = tmp_path / "report.txt"
+    for path, code in ((plan_path, 0), (gappy, 1)):
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == code
+        expected = capsys.readouterr().out
+        assert main(["verify", str(path), "--out", str(report)]) == code
+        assert capsys.readouterr().out == ""
+        assert report.read_text(encoding="utf-8") == expected
+    assert expected.startswith("finding: uncovered interval")
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n1,2\n", encoding="utf-8")
@@ -374,6 +392,17 @@ def test_non_finite_config_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_precision_too_big_to_format_exits_2(tmp_path):
+    cfg = tmp_path / "precision.json"
+    cfg.write_text('{"precision": 10000000000}', encoding="utf-8")
+    for command in ("plan", "width-table"):
+        proc = run_cli(command, "--config", str(cfg), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "precision" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 BIG_INT = "1" + "0" * 5000  # past the 4,300 digits that int() converts from text

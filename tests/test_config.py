@@ -80,6 +80,8 @@ def test_invalid_values_rejected(tmp_path):
         {"transducer": {"opening_angle_deg": 200.0}},
         {"format": "xml"},
         {"precision": 0},
+        {"precision": 2**31},  # beyond what the float formatter accepts
+        {"precision": 10**10},
         {"headings_deg": [0.0, 400.0]},
         {"distances_nm": ["a"]},
         {"seabed": 3},
@@ -89,6 +91,11 @@ def test_invalid_values_rejected(tmp_path):
     for doc in bad_docs:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
+
+
+def test_precision_up_to_the_formatter_limit_accepted(tmp_path):
+    for precision in (1, 17, 120, 2**31 - 1):
+        assert load_config(write_config(tmp_path, {"precision": precision})).precision == precision
 
 
 def test_non_finite_values_rejected(tmp_path):

@@ -1,4 +1,4 @@
-"""Line placement: depth profile, the two closed-form solves, full plans."""
+"""Line placement: depth profile, the closed-form first line, full plans."""
 
 from __future__ import annotations
 
@@ -14,16 +14,14 @@ from swathplan.errors import (
     RegionExhaustedError,
     SurfacedSeabedError,
 )
-from swathplan.geometry import TransducerSpec, horizontal_footprint
+from swathplan import planner
+from swathplan.geometry import TransducerSpec, horizontal_footprint, swath_cross_section
 from swathplan.planner import (
     DepthProfile,
-    LinePlacement,
     SurveyRegion,
     depth_at_x,
     derive_profile,
     first_line_position,
-    next_line_position,
-    overlap_ratio,
     plan_survey,
     swath_at,
 )
@@ -71,16 +69,6 @@ def test_swath_at_uses_the_cross_track_dip(profile, xdcr):
     assert section.total_width == pytest.approx(632.22214, abs=1e-3)
 
 
-def test_overlap_ratio_matches_definition(profile, xdcr):
-    x_west, x_east = 1000.0, 1400.0
-    w_mean = 0.5 * (
-        swath_at(profile, xdcr, x_west).total_width
-        + swath_at(profile, xdcr, x_east).total_width
-    )
-    expected = 1.0 - (x_east - x_west) / w_mean
-    assert overlap_ratio(profile, xdcr, x_west, x_east) == pytest.approx(expected, rel=1e-15)
-
-
 def test_first_line_position_default(profile, xdcr):
     x1 = first_line_position(profile, xdcr)
     assert x1 == pytest.approx(358.52179264210827, abs=1e-6)
@@ -120,43 +108,43 @@ def test_first_line_position_infeasible_when_capped(profile, xdcr):
         first_line_position(profile, xdcr, x_max=10.0)
 
 
-def test_next_line_position_sequence(profile, xdcr):
-    x1 = first_line_position(profile, xdcr)
-    x2 = next_line_position(profile, xdcr, x1, 0.10)
-    x3 = next_line_position(profile, xdcr, x2, 0.10)
-    assert x2 == pytest.approx(951.7973524032475, abs=1e-6)
-    assert x3 == pytest.approx(1498.4301671248572, abs=1e-6)
-
-
-def test_next_line_overlap_never_undershoots(profile, xdcr):
-    x2 = next_line_position(profile, xdcr, 358.52179264210827, 0.10)
-    achieved = overlap_ratio(profile, xdcr, 358.52179264210827, x2)
-    assert 0.10 <= achieved <= 0.10 + 1e-4
+def test_next_line_overlap_never_undershoots(region, xdcr):
+    for eta in (0.10, 0.5, 0.9):
+        plan = plan_survey(region, xdcr, eta)
+        for west, east in zip(plan.placements, plan.placements[1:]):
+            assert eta <= east.overlap_with_previous <= eta + 1e-4
 
 
 def test_next_line_flat_spacing_is_closed_form(xdcr):
     # constant width W makes the implicit spacing explicit: (1 - eta) * W
     w = 2.0 * 110.0 * math.tan(math.radians(60.0))
-    for x_prev in (0.0, 190.52558883257643, 1234.5):
-        x_next = next_line_position(FLAT_110, xdcr, x_prev, 0.10)
-        assert x_next - x_prev == pytest.approx(0.9 * w, rel=1e-9)
-        assert x_next - x_prev == pytest.approx(342.9460598986376, rel=1e-9)
+    for width_ew in (1000.0, 1234.5, 7408.0):
+        region = SurveyRegion(
+            width_ew=width_ew, length_ns=1000.0, center_depth=110.0, slope_alpha=0.0
+        )
+        xs = [p.x for p in plan_survey(region, xdcr, 0.10).placements]
+        assert len(xs) >= 3
+        for x_prev, x_next in zip(xs, xs[1:]):
+            assert x_next - x_prev == pytest.approx(0.9 * w, rel=1e-9)
+            assert x_next - x_prev == pytest.approx(342.9460598986376, rel=1e-9)
 
 
-def test_next_line_rejects_bad_eta(profile, xdcr):
+def test_next_line_rejects_bad_eta(region, xdcr):
     for eta in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError, match="overlap target"):
-            next_line_position(profile, xdcr, 400.0, eta)
+            plan_survey(region, xdcr, eta)
 
 
 def test_next_line_exhausts_on_surfacing_bed(xdcr):
-    # 25 deg dip dries out before the overlap can fall to 10%
-    steep = DepthProfile(west_edge_depth=50.0, edge_offset_d1=0.0, slope_alpha=25.0)
-    with pytest.raises(RegionExhaustedError, match="region exhausted"):
-        next_line_position(steep, xdcr, 0.0, 0.10)
+    # 25 deg dip dries out before the overlap can fall to 10%: the first
+    # line fits, the second has no position
+    steep = SurveyRegion(width_ew=400.0, length_ns=100.0, center_depth=107.0, slope_alpha=25.0)
+    with pytest.raises(RegionExhaustedError, match="before the overlap can drop to 0.1") as exc:
+        plan_survey(steep, xdcr, 0.10)
+    assert exc.value.partial_plan.line_count == 1
 
 
-def test_plan_survey_default_scenario(reference_plan, region, profile, xdcr):
+def test_plan_survey_default_scenario(reference_plan, region):
     plan = reference_plan
     assert plan.line_count == 34
     assert len(plan.placements) == 34
@@ -179,9 +167,6 @@ def test_plan_survey_default_scenario(reference_plan, region, profile, xdcr):
     assert plan.placements[0].overlap_with_previous is None
     for p in plan.placements[1:]:
         assert 0.10 <= p.overlap_with_previous <= 0.10 + 1e-4
-
-    for p in plan.placements:
-        assert p.depth == pytest.approx(depth_at_x(profile, p.x), rel=1e-12)
 
 
 def test_plan_survey_covers_the_region(reference_plan, region, profile, xdcr):
@@ -251,8 +236,8 @@ def test_placement_contract_over_the_envelope():
     """Every plan keeps both contracts exactly, across the valid input range.
 
     The first line's deep edge lies at or west of the boundary and every
-    achieved overlap is at least the target, both checked through swath_at
-    on the floats the planner returns.
+    achieved overlap, recomputed from fresh swath_at widths on the floats
+    the planner returns, equals the recorded one and is at least the target.
     """
     rng = random.Random(2407)
     planned = 0
@@ -278,17 +263,24 @@ def test_placement_contract_over_the_envelope():
         first = plan.placements[0]
         proj_deep, _ = horizontal_footprint(swath_at(profile, fan, first.x), alpha)
         assert first.x - proj_deep <= 0.0, (alpha, theta, eta)
-        for p in plan.placements[1:]:
-            assert p.overlap_with_previous >= eta, (alpha, theta, eta)
+        for west, east in zip(plan.placements, plan.placements[1:]):
+            w_mean = 0.5 * (
+                swath_at(profile, fan, west.x).total_width
+                + swath_at(profile, fan, east.x).total_width
+            )
+            achieved = 1.0 - (east.x - west.x) / w_mean
+            assert east.overlap_with_previous == achieved, (alpha, theta, eta)
+            assert achieved >= eta, (alpha, theta, eta)
     assert planned >= 150
 
 
-def test_plan_survey_equals_the_step_by_step_layout():
-    """plan_survey reuses each new line's section for the achieved overlap.
+def test_plan_survey_nudges_each_step_the_least():
+    """Each line sits at the closed-form step, moved west only as far as needed.
 
-    Laying the lines out one call at a time through the public solves,
-    with overlap_ratio and swath_at evaluated afresh for every pair, gives
-    the same placements to the last bit.
+    With K the total width at unit depth and f = (1 - eta) * K, the closed
+    form puts the next line at x + f * D(x) / (1 + f * tan(alpha) / 2). The
+    placed line is at or west of it, and every double east of the placed
+    line up to the closed form itself misses the target overlap.
     """
     rng = random.Random(2408)
     planned = 0
@@ -310,16 +302,35 @@ def test_plan_survey_equals_the_step_by_step_layout():
             continue
         planned += 1
         profile = derive_profile(region)
-        x = first_line_position(profile, fan, x_max=region.width_ew)
-        section = swath_at(profile, fan, x)
-        expected = [LinePlacement(x, section.local_depth, section.total_width, None)]
-        while x + horizontal_footprint(section, alpha)[1] < region.width_ew:
-            x_next = next_line_position(profile, fan, x, eta)
-            achieved = overlap_ratio(profile, fan, x, x_next)
-            section = swath_at(profile, fan, x_next)
-            expected.append(
-                LinePlacement(x_next, section.local_depth, section.total_width, achieved)
-            )
-            x = x_next
-        assert plan.placements == tuple(expected), (alpha, theta, eta)
+        ta = math.tan(math.radians(alpha))
+        free = (1.0 - eta) * swath_cross_section(1.0, alpha, fan).total_width
+        for west, east in zip(plan.placements, plan.placements[1:]):
+            closed = west.x + free * depth_at_x(profile, west.x) / (1.0 + 0.5 * free * ta)
+            assert east.x <= closed, (alpha, theta, eta)
+            x = closed
+            for _ in range(64):
+                if x == east.x:
+                    break
+                w_mean = 0.5 * (west.swath_width + swath_at(profile, fan, x).total_width)
+                assert 1.0 - (x - west.x) / w_mean < eta, (alpha, theta, eta)
+                x = math.nextafter(x, -math.inf)
+            else:
+                raise AssertionError(f"placed line more than 64 ulps west: {(alpha, theta, eta)}")
     assert planned >= 150
+
+
+@pytest.mark.parametrize("eta", [0.9, 0.99])
+def test_plan_survey_swath_budget(region, xdcr, eta, monkeypatch):
+    # each line's swath is evaluated once, plus the rare ulp nudge; the
+    # first line's solve and the per-plan unit-depth width add a few more
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return swath_cross_section(*args)
+
+    monkeypatch.setattr(planner, "swath_cross_section", counted)
+    plan = plan_survey(region, xdcr, eta)
+    assert plan.line_count > 100
+    assert calls <= 2 * plan.line_count

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from swathplan.errors import NoSolutionInBracketError, SurfacedSeabedError
+from swathplan.errors import SurfacedSeabedError
 from swathplan.geometry import (
     TransducerSpec,
     effective_slope,
@@ -21,8 +21,6 @@ from swathplan.planner import (
     SurveyPlan,
     SurveyRegion,
     derive_profile,
-    first_line_position,
-    next_line_position,
     plan_survey,
     swath_at,
 )
@@ -59,8 +57,7 @@ def test_rasterize_single_line_gaps(xdcr):
         center_depth=50.0 / math.tan(math.radians(60.0)),
         slope_alpha=0.0,
     )
-    line = LinePlacement(x=100.0, depth=region.center_depth, swath_width=100.0,
-                         overlap_with_previous=None)
+    line = LinePlacement(x=100.0, swath_width=100.0, overlap_with_previous=None)
     report = rasterize_coverage(_plan_of([line], region), region, xdcr)
     assert len(report.uncovered_intervals) == 2
     (lo1, hi1), (lo2, hi2) = report.uncovered_intervals
@@ -144,7 +141,7 @@ def _perturbed(plan, rng):
     else:
         p = lines[i]
         shift = rng.uniform(-0.5, 0.5) * p.swath_width
-        lines[i] = LinePlacement(p.x + shift, p.depth, p.swath_width, p.overlap_with_previous)
+        lines[i] = LinePlacement(p.x + shift, p.swath_width, p.overlap_with_previous)
     return SurveyPlan(placements=tuple(lines), line_length=plan.line_length)
 
 
@@ -184,7 +181,7 @@ def test_rasterize_footprints_narrower_than_a_cell(xdcr):
     xs = (4.0, 4.5, 6.0, 10.0 + half, 10.0 - half)
     assert (xs[3] - half, xs[4] + half) == (10.0, 10.0)
     plan = _plan_of(
-        [LinePlacement(x=x, depth=0.5, swath_width=w, overlap_with_previous=None) for x in xs],
+        [LinePlacement(x=x, swath_width=w, overlap_with_previous=None) for x in xs],
         region,
     )
     report = rasterize_coverage(plan, region, xdcr, resolution=4.0)
@@ -223,9 +220,7 @@ def test_rasterize_edges_one_ulp_beside_a_center(xdcr, resolution, cells):
         for target in (below, center, above):
             for east in (False, True):
                 x = _x_with_edge(profile, xdcr, target, east)
-                lines.append(
-                    LinePlacement(x=x, depth=0.5, swath_width=1.0, overlap_with_previous=None)
-                )
+                lines.append(LinePlacement(x=x, swath_width=1.0, overlap_with_previous=None))
     for line in lines:
         _assert_matches_definition(_plan_of([line], region), region, xdcr, resolution)
     _assert_matches_definition(_plan_of(lines, region), region, xdcr, resolution)
@@ -254,12 +249,12 @@ def test_brute_force_flat_closed_form(xdcr):
     assert x == pytest.approx(860.0, abs=0.0100001)
 
 
-def test_brute_force_matches_bisection_on_default_profile(profile, xdcr):
-    x1 = first_line_position(profile, xdcr)
-    for x_prev in (x1, 2000.0, 5000.0):
-        scanned = brute_force_next_line(profile, xdcr, x_prev, 0.10, step=0.01)
-        solved = next_line_position(profile, xdcr, x_prev, 0.10)
-        assert abs(scanned - solved) <= 0.02
+def test_brute_force_matches_bisection_on_default_profile(reference_plan, profile, xdcr):
+    # every step of the reference plan, once solved by bisection, now in closed form
+    lines = reference_plan.placements
+    for west, east in zip(lines, lines[1:]):
+        scanned = brute_force_next_line(profile, xdcr, west.x, 0.10, step=0.01)
+        assert abs(scanned - east.x) <= 0.02
 
 
 def test_brute_force_near_total_overlap(xdcr):
@@ -269,20 +264,28 @@ def test_brute_force_near_total_overlap(xdcr):
 
 
 def test_brute_force_agrees_over_random_profiles(xdcr):
-    """Closed form vs grid scan on 100 random (profile, x_prev, eta) triples."""
+    """Plan steps vs grid scan on 100 random (region, line, eta) draws."""
     rng = random.Random(507)
-    for _ in range(100):
+    solves = 0
+    while solves < 100:
         alpha = rng.uniform(0.2, 3.0)
         theta = rng.uniform(60.0, 150.0)
         eta = rng.uniform(0.05, 0.3)
         depth = rng.uniform(40.0, 300.0)
-        profile = DepthProfile(west_edge_depth=depth, edge_offset_d1=0.0, slope_alpha=alpha)
+        # west edge `depth` deep, half as wide as the bed runs before surfacing
         wet = depth / math.tan(math.radians(alpha))
-        x_prev = rng.uniform(0.0, 0.3 * wet)
+        region = SurveyRegion(
+            width_ew=0.5 * wet, length_ns=1000.0, center_depth=0.75 * depth, slope_alpha=alpha
+        )
         fan = TransducerSpec(opening_angle_theta=theta)
-        scanned = brute_force_next_line(profile, fan, x_prev, eta, step=0.01)
-        solved = next_line_position(profile, fan, x_prev, eta)
-        assert abs(scanned - solved) <= 0.02
+        lines = plan_survey(region, fan, eta).placements
+        starts = [i for i in range(len(lines) - 1) if lines[i].x <= 0.3 * wet]
+        if not starts:
+            continue
+        i = rng.choice(starts)
+        scanned = brute_force_next_line(derive_profile(region), fan, lines[i].x, eta, step=0.01)
+        assert abs(scanned - lines[i + 1].x) <= 0.02
+        solves += 1
 
 
 def test_brute_force_error_cases(profile, xdcr):
@@ -290,9 +293,9 @@ def test_brute_force_error_cases(profile, xdcr):
         brute_force_next_line(FLAT_110, xdcr, 0.0, 0.10, step=0.0)
     with pytest.raises(ValueError, match="overlap target"):
         brute_force_next_line(FLAT_110, xdcr, 0.0, 1.0)
-    with pytest.raises(NoSolutionInBracketError, match="no solution in bracket"):
+    with pytest.raises(ValueError, match="no solution in bracket"):
         brute_force_next_line(FLAT_110, xdcr, 0.0, 0.10, step=500.0)
-    with pytest.raises(NoSolutionInBracketError, match="no candidate"):
+    with pytest.raises(ValueError, match="no candidate"):
         brute_force_next_line(FLAT_110, xdcr, 0.0, 0.5, step=300.0)
     with pytest.raises(SurfacedSeabedError, match="surfaced seabed"):
         brute_force_next_line(profile, xdcr, 9000.0, 0.10)
@@ -321,8 +324,8 @@ def test_verify_detects_coincident_lines(xdcr):
     region = SurveyRegion(width_ew=381.0, length_ns=100.0, center_depth=110.0, slope_alpha=0.0)
     w = 2.0 * 110.0 * math.tan(math.radians(60.0))
     lines = [
-        LinePlacement(x=190.53, depth=110.0, swath_width=w, overlap_with_previous=None),
-        LinePlacement(x=191.03, depth=110.0, swath_width=w, overlap_with_previous=0.99),
+        LinePlacement(x=190.53, swath_width=w, overlap_with_previous=None),
+        LinePlacement(x=191.03, swath_width=w, overlap_with_previous=0.99),
     ]
     result = verify_plan(_plan_of(lines, region), region, xdcr, 0.10, 0.20)
     assert not result.passed
@@ -344,7 +347,7 @@ def test_verify_width_rule_on_a_flat_bed(xdcr):
     assert verify_plan(plan, region, xdcr, 0.10, 0.20).passed
     placements = list(plan.placements)
     placements[3] = LinePlacement(
-        x=placements[3].x, depth=110.0, swath_width=placements[3].swath_width - 1.0,
+        x=placements[3].x, swath_width=placements[3].swath_width - 1.0,
         overlap_with_previous=placements[3].overlap_with_previous,
     )
     result = verify_plan(_plan_of(placements, region), region, xdcr, 0.10, 0.20)
