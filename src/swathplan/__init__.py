@@ -6,7 +6,7 @@ submodules; the coverage audit and its two test oracles are in
 called, so neither the package nor any CLI subcommand loads it.
 """
 
-from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .errors import PlanningError
 from .geometry import PlanarSeabed, TransducerSpec, swath_cross_section, width_table
 from .planfile import PlanParseError, read_plan, write_plan_csv, write_plan_json
@@ -24,7 +24,6 @@ __all__ = [
     "SurveyPlan",
     "SurveyRegion",
     "TransducerSpec",
-    "apply_overrides",
     "load_config",
     "plan_survey",
     "read_plan",

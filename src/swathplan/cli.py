@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from typing import Any
 
-from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .errors import PlanningError
 from .geometry import width_table
 from .planfile import (
+    MAX_SIG_DIGITS,
     PlanParseError,
     format_sig,
     plan_summary,
@@ -26,14 +27,11 @@ from .planner import depth_at_x, derive_profile, plan_survey
 from .units import nm_to_m
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
+def _csv_floats(text: str) -> list[float]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
-    return values
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -81,20 +79,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each scenario flag (argparse dest) and the config keys it sets.
+FLAG_KEYS = {
+    "alpha_deg": ("seabed.slope_alpha_deg", "region.slope_alpha_deg"),
+    "theta_deg": ("transducer.opening_angle_deg",),
+    "eta": ("eta_target",),
+    "center_depth_m": ("region.center_depth_m",),
+    "region_ew_nm": ("region.width_ew_nm",),
+    "region_ns_nm": ("region.length_ns_nm",),
+    "format": ("format",),
+    "headings_deg": ("headings_deg",),
+    "distances_nm": ("distances_nm",),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = load_config(args.config)
-    return apply_overrides(
-        cfg,
-        alpha_deg=args.alpha_deg,
-        theta_deg=args.theta_deg,
-        eta=args.eta,
-        center_depth_m=args.center_depth_m,
-        region_ew_nm=args.region_ew_nm,
-        region_ns_nm=args.region_ns_nm,
-        fmt=args.format,
-        headings_deg=getattr(args, "headings_deg", None),
-        distances_nm=getattr(args, "distances_nm", None),
-    )
+    """The flags given become a partial config document, applied after the file."""
+    overrides: dict[str, Any] = {}
+    for flag, keys in FLAG_KEYS.items():
+        value = getattr(args, flag, None)  # only width-table has the list flags
+        if value is not None:
+            for key in keys:
+                section, _, name = key.rpartition(".")
+                (overrides.setdefault(section, {}) if section else overrides)[name] = value
+    return load_config(args.config, overrides)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -108,7 +116,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Swath width per (heading, distance) cell; failed cells print as ERR/null."""
     distances_m = [nm_to_m(d) for d in cfg.distances_nm]
-    grid = width_table(cfg.seabed(), cfg.transducer(), list(cfg.headings_deg), distances_m)
+    grid = width_table(cfg.seabed, cfg.transducer, list(cfg.headings_deg), distances_m)
     sig = cfg.precision
     labels = [format_sig(d, sig) for d in cfg.distances_nm]
     if cfg.format == "json":
@@ -125,7 +133,7 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         # one % operation per row; "%.{sig}g" prints what format_sig prints
-        spec = f"%.{sig}g"
+        spec = f"%.{min(sig, MAX_SIG_DIGITS)}g"
         full_row = ",".join([spec] * len(labels))
         lines = ["heading_deg," + ",".join(labels)]
         for heading, row in zip(cfg.headings_deg, grid):
@@ -141,9 +149,8 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 
 def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Plan survey lines for the configured region and write the placement table."""
-    region = cfg.region()
-    plan = plan_survey(region, cfg.transducer(), cfg.eta_target)
-    d1 = derive_profile(region).edge_offset_d1
+    plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    d1 = derive_profile(cfg.region).edge_offset_d1
     if cfg.format == "json":
         body = write_plan_json(plan, d1, cfg.precision)
     else:
@@ -167,9 +174,8 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
             text = fh.read()
     except OSError as err:
         raise PlanParseError(f"cannot read plan file: {err}") from err
-    region = cfg.region()
-    plan = read_plan(text, region)
-    result = verify_plan(plan, region, cfg.transducer(), cfg.eta_min, cfg.eta_max)
+    plan = read_plan(text, cfg.region)
+    result = verify_plan(plan, cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max)
     lines = [f"finding: {finding}" for finding in result.findings]
     if result.passed:
         lines.append(
@@ -185,15 +191,14 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 
 def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Emit region and plan geometry as JSON for external plotting; renders nothing."""
-    region = cfg.region()
-    plan = plan_survey(region, cfg.transducer(), cfg.eta_target)
-    profile = derive_profile(region)
+    plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    profile = derive_profile(cfg.region)
     sig = cfg.precision
 
     def num(v: float) -> float:
         return float(format_sig(v, sig))
 
-    w, length = region.width_ew, region.length_ns
+    w, length = cfg.region.width_ew, cfg.region.length_ns
     corners_xy = [(0.0, 0.0), (w, 0.0), (w, length), (0.0, length)]
     doc = {
         "region": {"width_ew_m": num(w), "length_ns_m": num(length)},
@@ -221,10 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         return args.handler(args, cfg)
-    except (ConfigError, PlanParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConfigError, PlanParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except PlanningError as err:

@@ -1,11 +1,11 @@
-"""Scenario configuration: one JSON document, overridable by CLI flags."""
+"""Scenario configuration: one JSON document, overlaid by a partial one from CLI flags."""
 
 from __future__ import annotations
 
 import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .geometry import PlanarSeabed, TransducerSpec
@@ -42,15 +42,11 @@ DEFAULTS: dict[str, Any] = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario parameters shared by all subcommands."""
+    """Validated scenario: the model objects plus the settings shared by all subcommands."""
 
-    reference_depth_m: float
-    seabed_slope_alpha_deg: float
-    opening_angle_deg: float
-    region_width_ew_nm: float
-    region_length_ns_nm: float
-    center_depth_m: float
-    region_slope_alpha_deg: float
+    seabed: PlanarSeabed
+    transducer: TransducerSpec
+    region: SurveyRegion
     eta_target: float
     eta_min: float
     eta_max: float
@@ -58,22 +54,6 @@ class ScenarioConfig:
     distances_nm: tuple[float, ...]
     format: str
     precision: int
-
-    def seabed(self) -> PlanarSeabed:
-        return PlanarSeabed(
-            reference_depth=self.reference_depth_m, slope_alpha=self.seabed_slope_alpha_deg
-        )
-
-    def transducer(self) -> TransducerSpec:
-        return TransducerSpec(opening_angle_theta=self.opening_angle_deg)
-
-    def region(self) -> SurveyRegion:
-        return SurveyRegion(
-            width_ew=nm_to_m(self.region_width_ew_nm),
-            length_ns=nm_to_m(self.region_length_ns_nm),
-            center_depth=self.center_depth_m,
-            slope_alpha=self.region_slope_alpha_deg,
-        )
 
 
 def _require_number(value: Any, where: str) -> float:
@@ -89,7 +69,7 @@ def _require_number(value: Any, where: str) -> float:
 
 
 def _merge(doc: dict[str, Any], raw: dict[str, Any]) -> None:
-    """Overlay a user document onto the defaults, rejecting unknown keys."""
+    """Overlay a user document (a file, or the flags) onto doc, rejecting unknown keys."""
     for key, value in raw.items():
         if key not in doc:
             raise ConfigError(f"unknown config key: {key!r}")
@@ -121,14 +101,30 @@ def _merge(doc: dict[str, Any], raw: dict[str, Any]) -> None:
 
 
 def _build(doc: dict[str, Any]) -> ScenarioConfig:
-    cfg = ScenarioConfig(
-        reference_depth_m=doc["seabed"]["reference_depth_m"],
-        seabed_slope_alpha_deg=doc["seabed"]["slope_alpha_deg"],
-        opening_angle_deg=doc["transducer"]["opening_angle_deg"],
-        region_width_ew_nm=doc["region"]["width_ew_nm"],
-        region_length_ns_nm=doc["region"]["length_ns_nm"],
-        center_depth_m=doc["region"]["center_depth_m"],
-        region_slope_alpha_deg=doc["region"]["slope_alpha_deg"],
+    try:
+        seabed = PlanarSeabed(doc["seabed"]["reference_depth_m"], doc["seabed"]["slope_alpha_deg"])
+        transducer = TransducerSpec(doc["transducer"]["opening_angle_deg"])
+        region = SurveyRegion(
+            width_ew=nm_to_m(doc["region"]["width_ew_nm"]),
+            length_ns=nm_to_m(doc["region"]["length_ns_nm"]),
+            center_depth=doc["region"]["center_depth_m"],
+            slope_alpha=doc["region"]["slope_alpha_deg"],
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    if not 0.0 < doc["eta_target"] < 1.0:
+        raise ConfigError(f"eta_target must be in (0, 1), got {doc['eta_target']}")
+    if not 0.0 <= doc["eta_min"] <= doc["eta_max"] < 1.0:
+        raise ConfigError(
+            f"need 0 <= eta_min <= eta_max < 1, got [{doc['eta_min']}, {doc['eta_max']}]"
+        )
+    for beta in doc["headings_deg"]:
+        if not 0.0 <= beta < 360.0:
+            raise ConfigError(f"headings must be in [0, 360) degrees, got {beta}")
+    return ScenarioConfig(
+        seabed=seabed,
+        transducer=transducer,
+        region=region,
         eta_target=doc["eta_target"],
         eta_min=doc["eta_min"],
         eta_max=doc["eta_max"],
@@ -137,32 +133,15 @@ def _build(doc: dict[str, Any]) -> ScenarioConfig:
         format=doc["format"],
         precision=doc["precision"],
     )
-    _validate(cfg)
-    return cfg
 
 
-def _validate(cfg: ScenarioConfig) -> None:
-    try:
-        cfg.seabed()
-        cfg.transducer()
-        cfg.region()
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    if not 0.0 < cfg.eta_target < 1.0:
-        raise ConfigError(f"eta_target must be in (0, 1), got {cfg.eta_target}")
-    if not 0.0 <= cfg.eta_min <= cfg.eta_max < 1.0:
-        raise ConfigError(
-            f"need 0 <= eta_min <= eta_max < 1, got [{cfg.eta_min}, {cfg.eta_max}]"
-        )
-    for beta in cfg.headings_deg:
-        if not 0.0 <= beta < 360.0:
-            raise ConfigError(f"headings must be in [0, 360) degrees, got {beta}")
-    if not all(map(math.isfinite, cfg.distances_nm)):
-        raise ConfigError(f"distances must be finite, got {list(cfg.distances_nm)}")
+def load_config(path: str | None, overrides: dict[str, Any] | None = None) -> ScenarioConfig:
+    """Build a ScenarioConfig from defaults, an optional JSON file, then overrides.
 
-
-def load_config(path: str | None) -> ScenarioConfig:
-    """Build a ScenarioConfig from defaults plus an optional JSON file."""
+    ``overrides`` is a partial document in the file's own schema (the CLI
+    turns its flags into one); it is merged after the file and checked the
+    same way.
+    """
     doc = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -175,45 +154,6 @@ def load_config(path: str | None) -> ScenarioConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
         _merge(doc, raw)
+    if overrides:
+        _merge(doc, overrides)
     return _build(doc)
-
-
-def apply_overrides(
-    cfg: ScenarioConfig,
-    *,
-    alpha_deg: float | None = None,
-    theta_deg: float | None = None,
-    eta: float | None = None,
-    center_depth_m: float | None = None,
-    region_ew_nm: float | None = None,
-    region_ns_nm: float | None = None,
-    fmt: str | None = None,
-    headings_deg: tuple[float, ...] | None = None,
-    distances_nm: tuple[float, ...] | None = None,
-) -> ScenarioConfig:
-    """Overlay CLI flag values; --alpha-deg moves both the seabed and region dip."""
-    changes: dict[str, Any] = {}
-    if alpha_deg is not None:
-        changes["seabed_slope_alpha_deg"] = alpha_deg
-        changes["region_slope_alpha_deg"] = alpha_deg
-    if theta_deg is not None:
-        changes["opening_angle_deg"] = theta_deg
-    if eta is not None:
-        changes["eta_target"] = eta
-    if center_depth_m is not None:
-        changes["center_depth_m"] = center_depth_m
-    if region_ew_nm is not None:
-        changes["region_width_ew_nm"] = region_ew_nm
-    if region_ns_nm is not None:
-        changes["region_length_ns_nm"] = region_ns_nm
-    if fmt is not None:
-        changes["format"] = fmt
-    if headings_deg is not None:
-        changes["headings_deg"] = headings_deg
-    if distances_nm is not None:
-        changes["distances_nm"] = distances_nm
-    if not changes:
-        return cfg
-    out = replace(cfg, **changes)
-    _validate(out)
-    return out

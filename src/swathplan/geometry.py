@@ -71,7 +71,6 @@ class SwathCrossSection:
     """
 
     local_depth: float
-    effective_gamma: float
     half_deep: float
     half_shallow: float
     total_width: float
@@ -140,7 +139,6 @@ def swath_cross_section(depth: float, gamma_deg: float, xdcr: TransducerSpec) ->
     half_shallow = depth * sin_half / math.sin(math.radians(90.0 - half + gamma_deg))
     return SwathCrossSection(
         local_depth=depth,
-        effective_gamma=gamma_deg,
         half_deep=half_deep,
         half_shallow=half_shallow,
         total_width=half_deep + half_shallow,

@@ -12,6 +12,9 @@ from .planner import LinePlacement, SurveyPlan, SurveyRegion
 
 PLAN_CSV_HEADER = "x_m,overlap_prev,width_m"
 RATIO_DECIMALS = 5
+# No double has more than 767 significant digits and %g drops trailing zeros,
+# so a larger precision prints the same text, only from a bigger buffer.
+MAX_SIG_DIGITS = 767
 
 
 class PlanParseError(ValueError):
@@ -20,7 +23,7 @@ class PlanParseError(ValueError):
 
 def format_sig(value: float, sig: int) -> str:
     """Significant-digit text for lengths and depths (plain %g notation)."""
-    return f"{value:.{sig}g}"
+    return f"{value:.{min(sig, MAX_SIG_DIGITS)}g}"
 
 
 def format_ratio(value: float) -> str:

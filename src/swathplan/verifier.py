@@ -225,15 +225,19 @@ def verify_plan(
     xdcr: TransducerSpec,
     eta_min: float,
     eta_max: float,
-    resolution: float = DEFAULT_RESOLUTION_M,
+    resolution: float | None = None,
 ) -> VerificationResult:
     """Pass/fail coverage audit of a plan.
 
     Fails on any uncovered interval, any pairwise rasterized overlap ratio
     outside [eta_min - RATIO_SLACK, eta_max + RATIO_SLACK], or bed-measured
     widths that break the bed's shape: on a sloped bed they must shrink
-    strictly west to east, on a flat bed they must all be equal.
+    strictly west to east, on a flat bed they must all be equal. The raster
+    resolution defaults to DEFAULT_RESOLUTION_M, or to a hundredth of the
+    region width where that is finer, the coarsest the raster accepts.
     """
+    if resolution is None:
+        resolution = min(DEFAULT_RESOLUTION_M, region.width_ew / 100.0)
     report = rasterize_coverage(plan, region, xdcr, resolution)
     findings = []
     for lo, hi in report.uncovered_intervals:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -260,6 +261,18 @@ def test_verify_out_writes_the_report(tmp_path, capsys):
     assert expected.startswith("finding: uncovered interval")
 
 
+@pytest.mark.parametrize("width_nm, depth_m", [("0.005", "2"), ("0.001", "0.5")])
+def test_verify_narrow_region_passes(width_nm, depth_m, tmp_path):
+    # 9.26 m and 1.852 m wide: the default 0.1 m raster would have under 100 cells
+    plan_path = str(tmp_path / "plan.csv")
+    scenario = ("--region-ew-nm", width_nm, "--center-depth-m", depth_m)
+    assert run_cli("plan", *scenario, "--out", plan_path, timeout=60).returncode == 0
+    proc = run_cli("verify", plan_path, *scenario, timeout=60)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("PASS")
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n1,2\n", encoding="utf-8")
@@ -405,6 +418,31 @@ def test_precision_too_big_to_format_exits_2(tmp_path):
         assert proc.stdout == ""
 
 
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_huge_precision_prints_under_a_memory_cap(tmp_path):
+    # no double has more than 767 significant digits, so 2**31 - 1 prints what 767 prints
+    outputs = {}
+    for precision in (767, 2**31 - 1):
+        cfg = tmp_path / f"precision{precision}.json"
+        cfg.write_text(json.dumps({"precision": precision}), encoding="utf-8")
+        for command in ("plan", "width-table"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "swathplan", command, "--config", str(cfg)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                preexec_fn=_cap_address_space,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.setdefault(command, set()).add(proc.stdout)
+    assert all(len(texts) == 1 for texts in outputs.values())
+
+
 BIG_INT = "1" + "0" * 5000  # past the 4,300 digits that int() converts from text
 
 
@@ -465,3 +503,76 @@ def test_no_subcommand_loads_numpy(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert "swathplan.cli" in proc.stderr
         assert "numpy" not in proc.stderr, argv
+
+
+# ------------------------------------------------- flags and config file agree
+
+# The config document each scenario flag stands for.
+FLAG_DOCUMENTS = {
+    "--alpha-deg": lambda v: {"seabed": {"slope_alpha_deg": v}, "region": {"slope_alpha_deg": v}},
+    "--theta-deg": lambda v: {"transducer": {"opening_angle_deg": v}},
+    "--eta": lambda v: {"eta_target": v},
+    "--center-depth-m": lambda v: {"region": {"center_depth_m": v}},
+    "--region-ew-nm": lambda v: {"region": {"width_ew_nm": v}},
+    "--region-ns-nm": lambda v: {"region": {"length_ns_nm": v}},
+    "--headings-deg": lambda v: {"headings_deg": v},
+    "--distances-nm": lambda v: {"distances_nm": v},
+    "--format": lambda v: {"format": v},
+}
+# Per number flag: out of range below and above, a value on the edge of the
+# valid range, and the range the seeded valid values come from.
+FLOAT_FLAG_VALUES = {
+    "--alpha-deg": ("-1", "90", "0", (0.5, 1.5)),
+    "--theta-deg": ("0", "180", "179.99", (60.0, 150.0)),
+    "--eta": ("0", "1", "5e-324", (0.05, 0.3)),
+    "--center-depth-m": ("-5", "0", "5e-324", (100.0, 300.0)),
+    "--region-ew-nm": ("-1", "0", "0.001", (0.5, 4.0)),
+    "--region-ns-nm": ("-1", "0", "0.001", (0.5, 5.0)),
+}
+LIST_FLAG_VALUES = {
+    "--headings-deg": (["nan", "0,inf", "-inf", "0,360", "-0.5", "0,359.999"], (0.0, 359.0)),
+    "--distances-nm": (["nan", "0,inf", "-inf,0", "1e400", "1e306,-1e306", "0"], (-2.0, 2.0)),
+}
+
+
+def _flag_cases(flag):
+    """(flag text, config value) pairs: non-finite, out of range, edge, then seeded valid."""
+    rng = random.Random(flag)
+    if flag == "--format":
+        return [("csv", "csv"), ("json", "json")]
+    if flag in LIST_FLAG_VALUES:
+        texts, (lo, hi) = LIST_FLAG_VALUES[flag]
+        texts = texts + [
+            ",".join(str(round(rng.uniform(lo, hi), 3)) for _ in range(3)) for _ in range(4)
+        ]
+        return [(text, [float(part) for part in text.split(",")]) for text in texts]
+    below, above, edge, (lo, hi) = FLOAT_FLAG_VALUES[flag]
+    texts = ["nan", "inf", "-inf", "1e400", below, above, edge]
+    texts += [str(round(rng.uniform(lo, hi), 3)) for _ in range(8)]
+    return [(text, float(text)) for text in texts]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse rejected the command line
+        code = exit_.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("flag", list(FLAG_DOCUMENTS))
+def test_flags_and_config_file_agree(flag, tmp_path, capsys):
+    # a flag acts as its keys in a config file would: same exit code, stdout and stderr
+    commands = ["width-table"]  # the only subcommand with the list flags
+    if flag not in LIST_FLAG_VALUES:
+        commands += ["plan", "plot-data"]
+    path = tmp_path / "scenario.json"
+    mismatches = []
+    for text, value in _flag_cases(flag):
+        path.write_text(json.dumps(FLAG_DOCUMENTS[flag](value)), encoding="utf-8")
+        for command in commands:
+            by_flag = _outcome([command, f"{flag}={text}"], capsys)
+            by_file = _outcome([command, "--config", str(path)], capsys)
+            if by_flag != by_file:
+                mismatches.append((command, text, by_flag[0::2], by_file[0::2]))
+    assert not mismatches

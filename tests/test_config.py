@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from swathplan.config import ConfigError, apply_overrides, load_config
+from swathplan.cli import _config_from_args, build_parser
+from swathplan.config import ConfigError, load_config
 
 
 def write_config(tmp_path, doc):
@@ -17,12 +18,12 @@ def write_config(tmp_path, doc):
 
 def test_defaults_without_file():
     cfg = load_config(None)
-    assert cfg.reference_depth_m == 120.0
-    assert cfg.seabed_slope_alpha_deg == 1.5
-    assert cfg.opening_angle_deg == 120.0
-    assert cfg.region_width_ew_nm == 4.0
-    assert cfg.region_length_ns_nm == 2.0
-    assert cfg.center_depth_m == 110.0
+    assert cfg.seabed.reference_depth == 120.0
+    assert cfg.seabed.slope_alpha == 1.5
+    assert cfg.transducer.opening_angle_theta == 120.0
+    assert cfg.region.width_ew == 4.0 * 1852.0
+    assert cfg.region.length_ns == 2.0 * 1852.0
+    assert cfg.region.center_depth == 110.0
     assert cfg.eta_target == 0.10
     assert (cfg.eta_min, cfg.eta_max) == (0.10, 0.20)
     assert cfg.headings_deg == (0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
@@ -33,9 +34,9 @@ def test_defaults_without_file():
 
 def test_builders_produce_model_objects():
     cfg = load_config(None)
-    assert cfg.seabed().reference_depth == 120.0
-    assert cfg.transducer().half_angle == 60.0
-    region = cfg.region()
+    assert cfg.seabed.reference_depth == 120.0
+    assert cfg.transducer.half_angle == 60.0
+    region = cfg.region
     assert region.width_ew == 7408.0
     assert region.length_ns == 3704.0
 
@@ -46,12 +47,12 @@ def test_partial_file_overlays_defaults(tmp_path):
         {"region": {"center_depth_m": 90.0}, "eta_target": 0.15, "format": "json"},
     )
     cfg = load_config(path)
-    assert cfg.center_depth_m == 90.0
+    assert cfg.region.center_depth == 90.0
     assert cfg.eta_target == 0.15
     assert cfg.format == "json"
     # untouched keys keep their defaults
-    assert cfg.region_width_ew_nm == 4.0
-    assert cfg.reference_depth_m == 120.0
+    assert cfg.region.width_ew == 4.0 * 1852.0
+    assert cfg.seabed.reference_depth == 120.0
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -111,49 +112,42 @@ def test_non_finite_values_rejected(tmp_path):
     for doc in bad_docs:
         with pytest.raises(ConfigError, match="finite"):
             load_config(write_config(tmp_path, doc))
-    cfg = load_config(None)
-    for override in ({"center_depth_m": float("nan")}, {"region_ns_nm": float("inf")},
-                     {"distances_nm": (float("nan"),)}):
+    for override in ({"region": {"center_depth_m": float("nan")}},
+                     {"region": {"length_ns_nm": float("inf")}},
+                     {"distances_nm": [float("nan")]}):
         with pytest.raises(ConfigError, match="finite"):
-            apply_overrides(cfg, **override)
+            load_config(None, override)
 
 
 def test_overrides_replace_fields():
-    cfg = load_config(None)
-    out = apply_overrides(
-        cfg,
-        theta_deg=90.0,
-        eta=0.12,
-        center_depth_m=95.0,
-        region_ew_nm=3.0,
-        region_ns_nm=1.0,
-        fmt="json",
-        headings_deg=(0.0, 90.0),
-        distances_nm=(0.0, 1.0),
+    out = load_config(
+        None,
+        {
+            "transducer": {"opening_angle_deg": 90.0},
+            "eta_target": 0.12,
+            "region": {"center_depth_m": 95.0, "width_ew_nm": 3.0, "length_ns_nm": 1.0},
+            "format": "json",
+            "headings_deg": [0.0, 90.0],
+            "distances_nm": [0.0, 1.0],
+        },
     )
-    assert out.opening_angle_deg == 90.0
+    assert out.transducer.opening_angle_theta == 90.0
     assert out.eta_target == 0.12
-    assert out.center_depth_m == 95.0
-    assert (out.region_width_ew_nm, out.region_length_ns_nm) == (3.0, 1.0)
+    assert out.region.center_depth == 95.0
+    assert (out.region.width_ew, out.region.length_ns) == (3 * 1852.0, 1 * 1852.0)
     assert out.format == "json"
     assert out.headings_deg == (0.0, 90.0)
     assert out.distances_nm == (0.0, 1.0)
 
 
 def test_alpha_override_moves_both_dips():
-    out = apply_overrides(load_config(None), alpha_deg=2.5)
-    assert out.seabed_slope_alpha_deg == 2.5
-    assert out.region_slope_alpha_deg == 2.5
-
-
-def test_no_overrides_returns_same_config():
-    cfg = load_config(None)
-    assert apply_overrides(cfg) is cfg
+    out = _config_from_args(build_parser().parse_args(["plan", "--alpha-deg", "2.5"]))
+    assert out.seabed.slope_alpha == 2.5
+    assert out.region.slope_alpha == 2.5
 
 
 def test_overrides_are_validated():
-    cfg = load_config(None)
     with pytest.raises(ConfigError):
-        apply_overrides(cfg, eta=2.0)
+        load_config(None, {"eta_target": 2.0})
     with pytest.raises(ConfigError):
-        apply_overrides(cfg, theta_deg=0.0)
+        load_config(None, {"transducer": {"opening_angle_deg": 0.0}})

@@ -155,7 +155,6 @@ def test_cross_section_rejects_grazing_beam(xdcr):
 def test_horizontal_footprint_projects_by_cosine():
     section = SwathCrossSection(
         local_depth=200.0,
-        effective_gamma=1.5,
         half_deep=358.66,
         half_shallow=21.97,
         total_width=380.63,

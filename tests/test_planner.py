@@ -63,9 +63,10 @@ def test_depth_profile_rejects_dry_x(profile):
 
 
 def test_swath_at_uses_the_cross_track_dip(profile, xdcr):
-    section = swath_at(profile, xdcr, 951.7973524032475)
-    assert section.effective_gamma == profile.slope_alpha
-    assert section.local_depth == pytest.approx(depth_at_x(profile, 951.7973524032475))
+    x = 951.7973524032475
+    section = swath_at(profile, xdcr, x)
+    assert section == swath_cross_section(depth_at_x(profile, x), profile.slope_alpha, xdcr)
+    assert section.local_depth == pytest.approx(depth_at_x(profile, x))
     assert section.total_width == pytest.approx(632.22214, abs=1e-3)
 
 
