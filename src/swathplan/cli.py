@@ -23,7 +23,7 @@ from .planfile import (
     write_plan_csv,
     write_plan_json,
 )
-from .planner import depth_at_x, derive_profile, plan_survey
+from .planner import depth_at_x, plan_survey
 from .units import nm_to_m
 
 
@@ -150,7 +150,7 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Plan survey lines for the configured region and write the placement table."""
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
-    d1 = derive_profile(cfg.region).edge_offset_d1
+    d1 = cfg.region.edge_offset_d1
     if cfg.format == "json":
         body = write_plan_json(plan, d1, cfg.precision)
     else:
@@ -192,7 +192,6 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Emit region and plan geometry as JSON for external plotting; renders nothing."""
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
-    profile = derive_profile(cfg.region)
     sig = cfg.precision
 
     def num(v: float) -> float:
@@ -204,7 +203,7 @@ def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         "region": {"width_ew_m": num(w), "length_ns_m": num(length)},
         "sea_surface_corners": [[num(x), num(y), 0.0] for x, y in corners_xy],
         "seabed_corners": [
-            [num(x), num(y), num(-depth_at_x(profile, x))] for x, y in corners_xy
+            [num(x), num(y), num(-depth_at_x(cfg.region, x))] for x, y in corners_xy
         ],
         "survey_lines": [
             {

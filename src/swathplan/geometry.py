@@ -4,8 +4,8 @@ All angles cross the public interface in degrees and all lengths in meters.
 Depths are positive numbers measured downward from the sea surface. The
 seabed frame puts +x in the downhill direction, so depth grows along +x.
 ``width_table`` computes the depth under a ship on a straight line through
-the frame origin (affine in the along-line distance); the planner keeps its
-own depth profile across the survey region.
+the frame origin (affine in the along-line distance); the planner and the
+verifier each keep their own depth line across the survey region.
 """
 
 from __future__ import annotations

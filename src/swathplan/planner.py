@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     NoFeasibleStartError,
@@ -25,6 +26,10 @@ from .errors import (
 )
 from .geometry import SwathCrossSection, TransducerSpec, horizontal_footprint, swath_cross_section
 from .units import METERS_PER_NAUTICAL_MILE
+
+# Longest plan plan_survey lays out; its closed-form line count is checked
+# against this before the first line is placed.
+MAX_LINES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -46,14 +51,15 @@ class SurveyRegion:
         if not 0.0 <= self.slope_alpha < 90.0:
             raise ValueError(f"slope angle must be in [0, 90) degrees, got {self.slope_alpha}")
 
+    @cached_property
+    def edge_offset_d1(self) -> float:
+        """Depth increase from the region center to the west edge, m."""
+        return 0.5 * self.width_ew * math.tan(math.radians(self.slope_alpha))
 
-@dataclass(frozen=True)
-class DepthProfile:
-    """East-west depth profile: depth(x) = west_edge_depth - x * tan(alpha)."""
-
-    west_edge_depth: float
-    edge_offset_d1: float  # depth increase from region center to the west edge, m
-    slope_alpha: float
+    @cached_property
+    def west_edge_depth(self) -> float:
+        """Depth at the west edge, m: depth(x) = west_edge_depth - x * tan(alpha)."""
+        return self.center_depth + self.edge_offset_d1
 
 
 @dataclass(frozen=True)
@@ -90,35 +96,23 @@ class SurveyPlan:
         return self.line_count * self.line_length / METERS_PER_NAUTICAL_MILE
 
 
-def derive_profile(region: SurveyRegion) -> DepthProfile:
-    """Depth profile of a region, anchored at the (deep) west edge."""
-    d1 = 0.5 * region.width_ew * math.tan(math.radians(region.slope_alpha))
-    return DepthProfile(
-        west_edge_depth=region.center_depth + d1,
-        edge_offset_d1=d1,
-        slope_alpha=region.slope_alpha,
-    )
-
-
-def depth_at_x(profile: DepthProfile, x: float) -> float:
+def depth_at_x(region: SurveyRegion, x: float) -> float:
     """Water depth (m) at x meters east of the west boundary.
 
-    Raises SurfacedSeabedError once the profile line crosses the surface.
+    Raises SurfacedSeabedError once the depth line crosses the surface.
     """
-    depth = profile.west_edge_depth - x * math.tan(math.radians(profile.slope_alpha))
+    depth = region.west_edge_depth - x * math.tan(math.radians(region.slope_alpha))
     if depth <= 0.0:
         raise SurfacedSeabedError(f"surfaced seabed: depth {depth:.3f} m at x = {x:.3f} m")
     return depth
 
 
-def swath_at(profile: DepthProfile, xdcr: TransducerSpec, x: float) -> SwathCrossSection:
+def swath_at(region: SurveyRegion, xdcr: TransducerSpec, x: float) -> SwathCrossSection:
     """Cross-section of a north-south line at x; the cross-track slope is alpha."""
-    return swath_cross_section(depth_at_x(profile, x), profile.slope_alpha, xdcr)
+    return swath_cross_section(depth_at_x(region, x), region.slope_alpha, xdcr)
 
 
-def first_line_position(
-    profile: DepthProfile, xdcr: TransducerSpec, x_max: float | None = None
-) -> float:
+def first_line_position(region: SurveyRegion, xdcr: TransducerSpec) -> float:
     """x of the westmost line: its deep edge must land on the west boundary.
 
     The deep edge sits kd * cos(alpha) * depth(x) west of the line, with kd
@@ -130,21 +124,53 @@ def first_line_position(
     The returned position keeps the deep edge at or a hair west of the
     boundary (never short of it).
 
-    Raises NoFeasibleStartError when x_max (usually the region width) lies
-    west of x0, i.e. even the easternmost allowed line would overreach the
-    boundary.
+    Raises NoFeasibleStartError when x0 lies east of the region's east edge.
     """
-    a = math.radians(profile.slope_alpha)
-    k_proj = swath_cross_section(1.0, profile.slope_alpha, xdcr).half_deep * math.cos(a)
-    x = profile.west_edge_depth * k_proj / (1.0 + k_proj * math.tan(a))
-    if x_max is not None and x > x_max:
+    a = math.radians(region.slope_alpha)
+    k_proj = swath_cross_section(1.0, region.slope_alpha, xdcr).half_deep * math.cos(a)
+    x = region.west_edge_depth * k_proj / (1.0 + k_proj * math.tan(a))
+    if x > region.width_ew:
         raise NoFeasibleStartError(
-            f"no feasible start: a line at x = {x_max:.3f} m still reaches "
+            f"no feasible start: a line at x = {region.width_ew:.3f} m still reaches "
             "past the west boundary"
         )
-    while x - horizontal_footprint(swath_at(profile, xdcr, x), profile.slope_alpha)[0] > 0.0:
+    while x - horizontal_footprint(swath_at(region, xdcr, x), region.slope_alpha)[0] > 0.0:
         x = math.nextafter(x, -math.inf)
     return x
+
+
+def _line_count(
+    region: SurveyRegion, xdcr: TransducerSpec, eta_target: float, x0: float
+) -> int | float:
+    """Lines plan_survey places from a first line at x0, in closed form.
+
+    With f = (1 - eta) * K and t = tan(alpha), each step scales the depth by
+    q = (1 - f*t/2) / (1 + f*t/2). Placement stops at the first depth at or
+    below D_stop = D_E / (1 - k_sh * t), where the shallow edge k_sh * D
+    east of the line reaches the east boundary (D_E: the depth there). From
+    D_0 = D(x0) that is ceil(log(D_0 / D_stop) / log(1 / q)) steps, with
+    D_0 / D_stop = 1 + t * g / D_E and g = W - x0 - k_sh * D_0 the strip
+    the first swath leaves. On a flat bed each step is f * D_0.
+
+    Returns 1 where no step exists (f*t/2 >= 1; plan_survey then stops at
+    the second line) and inf where the count overflows.
+    """
+    a = math.radians(region.slope_alpha)
+    ta = math.tan(a)
+    unit = swath_cross_section(1.0, region.slope_alpha, xdcr)
+    free = (1.0 - eta_target) * unit.total_width
+    d0 = depth_at_x(region, x0)
+    gap = region.width_ew - x0 - unit.half_shallow * math.cos(a) * d0
+    if gap <= 0.0 or 0.5 * free * ta >= 1.0:
+        return 1
+    if ta == 0.0:
+        num, den = gap, free * d0
+    else:
+        east_depth = region.west_edge_depth - region.width_ew * ta
+        num = math.log1p(ta * gap / east_depth) if east_depth > 0.0 else math.inf
+        den = math.log1p(free * ta / (1.0 - 0.5 * free * ta))
+    steps = num / den if den > 0.0 else math.inf
+    return 1 + math.ceil(steps) if steps < math.inf else math.inf
 
 
 def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -> SurveyPlan:
@@ -161,25 +187,29 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     """
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    profile = derive_profile(region)
-    ta = math.tan(math.radians(profile.slope_alpha))
-    if ta > 0.0 and profile.west_edge_depth / ta <= region.width_ew:
+    ta = math.tan(math.radians(region.slope_alpha))
+    if ta > 0.0 and region.west_edge_depth / ta <= region.width_ew:
         # A bed surfacing inside the region can never satisfy the east
         # boundary termination: widths decay geometrically toward the
         # surfacing point and placement would recurse forever.
         raise RegionExhaustedError(
-            f"region exhausted: seabed surfaces at x = {profile.west_edge_depth / ta:.3f} m, "
+            f"region exhausted: seabed surfaces at x = {region.west_edge_depth / ta:.3f} m, "
             f"inside the {region.width_ew:.3f} m east-west extent"
         )
     placements: list[LinePlacement] = []
     try:
         # the part of the unit-depth width K that the target leaves unshared
-        free = (1.0 - eta_target) * swath_cross_section(1.0, profile.slope_alpha, xdcr).total_width
-        x = first_line_position(profile, xdcr, x_max=region.width_ew)
-        section = swath_at(profile, xdcr, x)
+        free = (1.0 - eta_target) * swath_cross_section(1.0, region.slope_alpha, xdcr).total_width
+        x = first_line_position(region, xdcr)
+        if (count := _line_count(region, xdcr, eta_target, x)) > MAX_LINES:
+            raise PlanningError(
+                f"too many lines: the plan needs {float(count):.4g} lines, "
+                f"more than the {MAX_LINES:,} allowed"
+            )
+        section = swath_at(region, xdcr, x)
         placements.append(LinePlacement(x, section.total_width, None))
         while True:
-            _, proj_shallow = horizontal_footprint(section, profile.slope_alpha)
+            _, proj_shallow = horizontal_footprint(section, region.slope_alpha)
             if x + proj_shallow >= region.width_ew:
                 break
             # With width K * depth and depth falling by tan(alpha) per meter,
@@ -192,18 +222,18 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
             if 0.5 * free * ta >= 1.0:
                 raise RegionExhaustedError(
                     f"region exhausted: seabed surfaces near x = "
-                    f"{profile.west_edge_depth / ta:.3f} m "
+                    f"{region.west_edge_depth / ta:.3f} m "
                     f"before the overlap can drop to {eta_target:g}"
                 )
             w_prev = section.total_width
             x_next = x + free * section.local_depth / (1.0 + 0.5 * free * ta)
-            section = swath_at(profile, xdcr, x_next)
+            section = swath_at(region, xdcr, x_next)
             # nudge west by ulps until the achieved overlap never undershoots
             while (
                 achieved := 1.0 - (x_next - x) / (0.5 * (w_prev + section.total_width))
             ) < eta_target:
                 x_next = math.nextafter(x_next, -math.inf)
-                section = swath_at(profile, xdcr, x_next)
+                section = swath_at(region, xdcr, x_next)
             # a target near 1 over a nearly dry east edge shrinks the step
             # below 1e-9 of x; stop here instead of placing billions of lines
             if x_next - x <= 1e-9 * max(1.0, x):

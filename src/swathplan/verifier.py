@@ -1,15 +1,14 @@
 """Independent coverage checks for survey plans, and the numpy oracles.
 
-The raster path rebuilds every line's horizontal footprint from the depth
-profile and measures coverage on a 1-D grid of cell centers spanning the
-east-west extent. It finds the cells each footprint holds by arithmetic on
-the footprint's two ends and never builds a per-cell array, so its time and
-memory grow with the line count, not the cell count. The grid-scan solver
-below shares no arithmetic with the planner's closed-form placement, and
-the vector construction of the cross-track slope none with geometry's
-closed form; each exists so the two sides can catch each other lying.
-Only those two oracles use numpy, and they import it when called, so the
-audit and every CLI subcommand run without it.
+The audit derives each footprint from the region and the fan alone: an
+outer beam tilted h = theta/2 from vertical meets a bed dipping alpha at
+D tan h / (1 -+ tan h tan alpha) from the line, minus on the deep (west)
+side, a ray-plane intersection that shares no arithmetic with the planner's
+law of sines. The raster finds the cells a footprint holds from its two
+ends, never per cell, so its time and memory grow with the line count, not
+the cell count. The grid-scan solver uses the same footprints; the vector
+construction of the cross-track slope shares nothing with geometry's closed
+form. Only those two oracles use numpy, and they import it when called.
 """
 
 from __future__ import annotations
@@ -17,15 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SurfacedSeabedError
-from .geometry import TransducerSpec, _check_angles, horizontal_footprint
-from .planner import DepthProfile, SurveyPlan, SurveyRegion, derive_profile, swath_at
+from .errors import BeamGrazeError, SurfacedSeabedError
+from .geometry import TransducerSpec, _check_angles
+from .planner import SurveyPlan, SurveyRegion
 
 DEFAULT_RESOLUTION_M = 0.1
 
 # Slack on the pairwise ratio band: absorbs the bed-measured vs horizontal
 # convention gap near the reference scenario plus raster quantization.
 RATIO_SLACK = 0.005
+
+GRAZING_MARGIN_DEG = 1e-9  # the planner's, so the audit refuses the fans it refuses
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,27 @@ class VerificationResult:
     report: CoverageReport
 
 
+def _depths_and_reaches(region: SurveyRegion, xdcr: TransducerSpec, xs: list) -> tuple:
+    """Depths D under lines at xs, tan(alpha), and the fan's deep and shallow reach.
+
+    D(x) = west-edge depth - x * tan(alpha), and a line at x insonifies
+    [x - D * deep reach, x + D * shallow reach]. Dry bed under an x raises.
+    """
+    half = xdcr.half_angle
+    if region.slope_alpha >= 90.0 - half - GRAZING_MARGIN_DEG:
+        raise BeamGrazeError(
+            f"beam grazes seabed: cross-track slope {region.slope_alpha:.6g} deg at or beyond "
+            f"the {90.0 - half:.6g} deg limit for a {xdcr.opening_angle_theta:g} deg opening"
+        )
+    ta = math.tan(math.radians(region.slope_alpha))
+    depths = [region.west_edge_depth - x * ta for x in xs]
+    for x, depth in zip(xs, depths):
+        if depth <= 0.0:
+            raise SurfacedSeabedError(f"surfaced seabed: depth {depth:.3f} m at x = {x:.3f} m")
+    th = math.tan(math.radians(half))
+    return depths, ta, th / (1.0 - th * ta), th / (1.0 + th * ta)
+
+
 def rasterize_coverage(
     plan: SurveyPlan,
     region: SurveyRegion,
@@ -69,23 +91,22 @@ def rasterize_coverage(
     """Measure coverage of a plan on a raster of cell centers.
 
     A cell belongs to a line's swath when its center lies inside the line's
-    horizontal footprint [x - proj_deep, x + proj_shallow], recomputed here
-    from the depth profile rather than trusted from the plan. An empty plan
-    yields one uncovered interval spanning the whole region.
+    horizontal footprint, derived here from the region and the fan rather
+    than trusted from the plan. An empty plan yields one uncovered interval
+    spanning the whole region.
     """
     if resolution <= 0.0 or resolution > region.width_ew / 100.0:
         raise ValueError(
             f"resolution must be in (0, {region.width_ew / 100.0:g}] m, got {resolution:g}"
         )
-    profile = derive_profile(region)
+    xs = [p.x for p in plan.placements]
+    depths, _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
     n_cells = int(math.ceil(region.width_ew / resolution))
     # cell i's center is (i + 0.5) * resolution and the centers ascend, so
     # the cells with lo <= center <= hi are the index range [first, stop)
     ranges = []  # (first, stop, footprint extent) per line
-    for placement in plan.placements:
-        section = swath_at(profile, xdcr, placement.x)
-        proj_deep, proj_shallow = horizontal_footprint(section, profile.slope_alpha)
-        lo, hi = placement.x - proj_deep, placement.x + proj_shallow
+    for x, depth in zip(xs, depths):
+        lo, hi = x - depth * reach_deep, x + depth * reach_shallow
         first = _centers_below(lo, resolution, n_cells, inclusive=False)
         stop = _centers_below(hi, resolution, n_cells, inclusive=True)
         ranges.append((first, stop, hi - lo))
@@ -167,7 +188,7 @@ def effective_slope_numeric(alpha_deg: float, beta_deg: float) -> float:
 
 
 def brute_force_next_line(
-    profile: DepthProfile,
+    region: SurveyRegion,
     xdcr: TransducerSpec,
     x_prev: float,
     eta_target: float,
@@ -177,9 +198,9 @@ def brute_force_next_line(
 
     Walks candidates x_prev + k*step downward from the far end of the
     bracket (one previous-line width east) and returns the first whose
-    achieved overlap reaches eta_target. All geometry is recomputed inline
-    from the law of sines so the oracle shares nothing with the planner's
-    solver path. Agreement with the closed form is within one step.
+    achieved overlap reaches eta_target. Widths come from the audit's own
+    footprints, so the oracle shares nothing with the planner's solver path.
+    Agreement with the closed form is within one step.
     """
     import numpy as np
 
@@ -187,17 +208,9 @@ def brute_force_next_line(
         raise ValueError(f"scan step must be positive, got {step}")
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    ta = math.tan(math.radians(profile.slope_alpha))
-    half = 0.5 * xdcr.opening_angle_theta
-    sin_half = math.sin(math.radians(half))
-    k_width = sin_half / math.sin(math.radians(90.0 - half - profile.slope_alpha)) + (
-        sin_half / math.sin(math.radians(90.0 - half + profile.slope_alpha))
-    )
-    depth_prev = profile.west_edge_depth - x_prev * ta
-    if depth_prev <= 0.0:
-        raise SurfacedSeabedError(
-            f"surfaced seabed: depth {depth_prev:.3f} m at x = {x_prev:.3f} m"
-        )
+    (depth_prev,), ta, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x_prev])
+    # the planner spaces lines on bed-measured widths: footprints over cos(alpha)
+    k_width = (reach_deep + reach_shallow) / math.cos(math.radians(region.slope_alpha))
     w_prev = depth_prev * k_width
     n = int(math.floor(w_prev / step + 1e-12))
     if n < 1:
@@ -206,7 +219,7 @@ def brute_force_next_line(
             f"{w_prev:g} m bracket"
         )
     xs = x_prev + np.arange(1, n + 1) * step
-    depths = profile.west_edge_depth - xs * ta
+    depths = depth_prev - (xs - x_prev) * ta
     widths = depths * k_width
     etas = 1.0 - (xs - x_prev) / (0.5 * (w_prev + widths))
     hits = np.nonzero((depths > 0.0) & (etas >= eta_target))[0]
@@ -233,11 +246,22 @@ def verify_plan(
     outside [eta_min - RATIO_SLACK, eta_max + RATIO_SLACK], or bed-measured
     widths that break the bed's shape: on a sloped bed they must shrink
     strictly west to east, on a flat bed they must all be equal. The raster
-    resolution defaults to DEFAULT_RESOLUTION_M, or to a hundredth of the
-    region width where that is finer, the coarsest the raster accepts.
+    resolution defaults to the finest of DEFAULT_RESOLUTION_M, a hundredth
+    of the region width (the coarsest the raster accepts) and RATIO_SLACK / 2
+    of the narrowest footprint. A pair's rasterized shared extent is off by
+    under one cell, so that last bound keeps each ratio's raster error
+    within half the slack for any footprint wider than 400 * 2**-52 of the
+    region width.
     """
     if resolution is None:
         resolution = min(DEFAULT_RESOLUTION_M, region.width_ew / 100.0)
+        xs = [p.x for p in plan.placements]
+        depths, _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
+        narrowest = min(depths, default=math.inf) * (reach_deep + reach_shallow)
+        # at most 2**52 cells, so every cell index stays an exact double
+        resolution = max(
+            min(resolution, 0.5 * RATIO_SLACK * narrowest), region.width_ew * 2.0**-52
+        )
     report = rasterize_coverage(plan, region, xdcr, resolution)
     findings = []
     for lo, hi in report.uncovered_intervals:

@@ -9,7 +9,7 @@ import pytest
 
 import swathplan
 from swathplan.geometry import PlanarSeabed, TransducerSpec
-from swathplan.planner import SurveyRegion, derive_profile, plan_survey
+from swathplan.planner import SurveyRegion, plan_survey
 from swathplan.units import nm_to_m
 
 
@@ -43,11 +43,6 @@ def region():
         center_depth=110.0,
         slope_alpha=1.5,
     )
-
-
-@pytest.fixture(scope="session")
-def profile(region):
-    return derive_profile(region)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from swathplan.geometry import (
     swath_cross_section,
     width_table,
 )
-from swathplan.planner import SurveyPlan, SurveyRegion, derive_profile, plan_survey
+from swathplan.planner import SurveyPlan, SurveyRegion, plan_survey
 from swathplan.verifier import (
     brute_force_next_line,
     effective_slope_numeric,
@@ -79,7 +79,7 @@ def test_criterion_2_plan_reproduction(region, xdcr):
 
     assert plan.line_count == 34
     assert plan.total_track_length == 68.0
-    d1 = derive_profile(region).edge_offset_d1
+    d1 = region.edge_offset_d1
     assert abs(d1 - 96.9927) <= 1e-3
 
     assert abs(plan.placements[0].x - 358.522) <= 0.1
@@ -128,7 +128,7 @@ def test_criterion_4_oracle_equivalence():
         if not starts:
             continue
         i = rng.choice(starts)
-        scanned = brute_force_next_line(derive_profile(region), fan, lines[i].x, eta, step=0.01)
+        scanned = brute_force_next_line(region, fan, lines[i].x, eta, step=0.01)
         worst_dx = max(worst_dx, abs(scanned - lines[i + 1].x))
         solves += 1
     assert worst_dx <= 0.02

@@ -261,9 +261,13 @@ def test_verify_out_writes_the_report(tmp_path, capsys):
     assert expected.startswith("finding: uncovered interval")
 
 
-@pytest.mark.parametrize("width_nm, depth_m", [("0.005", "2"), ("0.001", "0.5")])
+@pytest.mark.parametrize(
+    "width_nm, depth_m", [("0.005", "2"), ("0.001", "0.5"), ("0.001", "0.3")]
+)
 def test_verify_narrow_region_passes(width_nm, depth_m, tmp_path):
-    # 9.26 m and 1.852 m wide: the default 0.1 m raster would have under 100 cells
+    # 9.26 m and 1.852 m wide: the default 0.1 m raster would have under 100
+    # cells; at 0.3 m deep the footprints are about 1 m wide, so a hundredth
+    # of the width (18.5 mm cells) still misreads a ratio by up to 0.02
     plan_path = str(tmp_path / "plan.csv")
     scenario = ("--region-ew-nm", width_nm, "--center-depth-m", depth_m)
     assert run_cli("plan", *scenario, "--out", plan_path, timeout=60).returncode == 0
@@ -271,6 +275,23 @@ def test_verify_narrow_region_passes(width_nm, depth_m, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("PASS")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--alpha-deg", "0", "--center-depth-m", "0.001"),
+        ("--theta-deg", "0.001"),
+        ("--eta", "0.999999"),
+    ],
+)
+def test_plan_over_the_line_limit_exits_1(flags):
+    # 2,376,117, 6,725,106 and 29,433,964 lines: the count refuses each at once
+    proc = run_cli("plan", *flags, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: too many lines: the plan needs ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_verify_malformed_file_exits_2(tmp_path, capsys):

@@ -26,6 +26,45 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _imported(source: str) -> set[tuple[str, str | None]]:
+    """(module, name) per imported name: modules relative to the package, None for `import m`."""
+    pairs: set[tuple[str, str | None]] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("swathplan").removeprefix(".")
+            pairs.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            pairs.update((alias.name.removeprefix("swathplan."), None) for alias in node.names)
+    return pairs
+
+
+# The audit takes types and input checks from the code it audits, never its
+# arithmetic: a fault shared by planner and verifier would pass unseen.
+AUDITED = {"planner", "geometry"}
+VERIFIER_MAY_IMPORT = {
+    ("planner", "SurveyPlan"),
+    ("planner", "SurveyRegion"),
+    ("geometry", "TransducerSpec"),
+    ("geometry", "_check_angles"),
+}
+
+
+def _reaching_audited(source: str) -> set[tuple[str, str | None]]:
+    return {(m, n) for m, n in _imported(source) if m in AUDITED or n in AUDITED}
+
+
+def test_audit_import_rule_is_caught():
+    source = "from .planner import SurveyPlan, swath_at\nfrom . import geometry\nimport math\n"
+    flagged = _reaching_audited(source) - VERIFIER_MAY_IMPORT
+    assert flagged == {("planner", "swath_at"), ("", "geometry")}
+    assert _reaching_audited("import swathplan.geometry\n") == {("geometry", None)}
+
+
+def test_verifier_imports_no_arithmetic_it_audits():
+    source = (PACKAGE / "verifier.py").read_text(encoding="utf-8")
+    assert _reaching_audited(source) <= VERIFIER_MAY_IMPORT
+
+
 def test_unused_import_is_caught():
     assert _unused_imports("import math\nimport sys\nprint(sys.argv)\n") == ["line 1: math"]
     assert _unused_imports("from os import path as p\nx: p.PathLike\n") == []

@@ -16,7 +16,6 @@ from swathplan.planfile import (
     write_plan_csv,
     write_plan_json,
 )
-from swathplan.planner import derive_profile
 
 
 def test_format_sig_trims_to_significant_digits():
@@ -32,7 +31,7 @@ def test_format_ratio_is_fixed_point():
 
 
 def test_plan_summary_fields(reference_plan, region):
-    d1 = derive_profile(region).edge_offset_d1
+    d1 = region.edge_offset_d1
     summary = plan_summary(reference_plan, d1, 6)
     assert summary["lines"] == "34"
     assert summary["total_track_nm"] == "68"
@@ -41,7 +40,7 @@ def test_plan_summary_fields(reference_plan, region):
 
 
 def test_csv_round_trip(reference_plan, region):
-    d1 = derive_profile(region).edge_offset_d1
+    d1 = region.edge_offset_d1
     text = write_plan_csv(reference_plan, d1, 6)
     lines = text.splitlines()
     assert lines[0] == PLAN_CSV_HEADER
@@ -57,7 +56,7 @@ def test_csv_round_trip(reference_plan, region):
 
 
 def test_json_round_trip(reference_plan, region):
-    d1 = derive_profile(region).edge_offset_d1
+    d1 = region.edge_offset_d1
     text = write_plan_json(reference_plan, d1, 6)
     doc = json.loads(text)
     assert len(doc["placements"]) == 34
@@ -89,7 +88,7 @@ def test_read_plan_rejects_malformed_input(region):
 
 
 def test_read_plan_skips_comments_and_blanks(region, reference_plan):
-    d1 = derive_profile(region).edge_offset_d1
+    d1 = region.edge_offset_d1
     text = write_plan_csv(reference_plan, d1, 6)
     noisy = "# leading note\n\n" + text + "\n# trailing note\n"
     assert read_plan(noisy, region).line_count == 34

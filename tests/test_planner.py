@@ -1,4 +1,4 @@
-"""Line placement: depth profile, the closed-form first line, full plans."""
+"""Line placement: the region's depth line, the closed-form first line, full plans."""
 
 from __future__ import annotations
 
@@ -17,22 +17,20 @@ from swathplan.errors import (
 from swathplan import planner
 from swathplan.geometry import TransducerSpec, horizontal_footprint, swath_cross_section
 from swathplan.planner import (
-    DepthProfile,
     SurveyRegion,
+    _line_count,
     depth_at_x,
-    derive_profile,
     first_line_position,
     plan_survey,
     swath_at,
 )
 
-FLAT_110 = DepthProfile(west_edge_depth=110.0, edge_offset_d1=0.0, slope_alpha=0.0)
+FLAT_110 = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=0.0)
 
 
-def test_derive_profile_default_region(region, profile):
-    assert profile.edge_offset_d1 == pytest.approx(96.99265349226839, rel=1e-12)
-    assert profile.west_edge_depth == pytest.approx(206.9926534922684, rel=1e-12)
-    assert profile.slope_alpha == region.slope_alpha
+def test_derive_profile_default_region(region):
+    assert region.edge_offset_d1 == pytest.approx(96.99265349226839, rel=1e-12)
+    assert region.west_edge_depth == pytest.approx(206.9926534922684, rel=1e-12)
 
 
 def test_region_rejects_non_finite_values():
@@ -45,36 +43,36 @@ def test_region_rejects_non_finite_values():
 
 def test_derive_profile_scales_with_region():
     region = SurveyRegion(width_ew=2000.0, length_ns=500.0, center_depth=80.0, slope_alpha=3.0)
-    assert derive_profile(region).edge_offset_d1 == pytest.approx(
+    assert region.edge_offset_d1 == pytest.approx(
         52.40777928304121, rel=1e-12
     )
 
 
-def test_depth_profile_anchors(profile):
-    assert depth_at_x(profile, 0.0) == pytest.approx(206.9926534922684, rel=1e-12)
-    assert depth_at_x(profile, 3704.0) == pytest.approx(110.0, abs=1e-6)
-    assert depth_at_x(profile, 951.734) == pytest.approx(182.07062161353986, rel=1e-12)
-    assert depth_at_x(profile, 7408.0) == pytest.approx(13.007346507731614, rel=1e-9)
+def test_depth_profile_anchors(region):
+    assert depth_at_x(region, 0.0) == pytest.approx(206.9926534922684, rel=1e-12)
+    assert depth_at_x(region, 3704.0) == pytest.approx(110.0, abs=1e-6)
+    assert depth_at_x(region, 951.734) == pytest.approx(182.07062161353986, rel=1e-12)
+    assert depth_at_x(region, 7408.0) == pytest.approx(13.007346507731614, rel=1e-9)
 
 
-def test_depth_profile_rejects_dry_x(profile):
+def test_depth_profile_rejects_dry_x(region):
     with pytest.raises(SurfacedSeabedError, match="surfaced seabed"):
-        depth_at_x(profile, 9000.0)
+        depth_at_x(region, 9000.0)
 
 
-def test_swath_at_uses_the_cross_track_dip(profile, xdcr):
+def test_swath_at_uses_the_cross_track_dip(region, xdcr):
     x = 951.7973524032475
-    section = swath_at(profile, xdcr, x)
-    assert section == swath_cross_section(depth_at_x(profile, x), profile.slope_alpha, xdcr)
-    assert section.local_depth == pytest.approx(depth_at_x(profile, x))
+    section = swath_at(region, xdcr, x)
+    assert section == swath_cross_section(depth_at_x(region, x), region.slope_alpha, xdcr)
+    assert section.local_depth == pytest.approx(depth_at_x(region, x))
     assert section.total_width == pytest.approx(632.22214, abs=1e-3)
 
 
-def test_first_line_position_default(profile, xdcr):
-    x1 = first_line_position(profile, xdcr)
+def test_first_line_position_default(region, xdcr):
+    x1 = first_line_position(region, xdcr)
     assert x1 == pytest.approx(358.52179264210827, abs=1e-6)
     # deep edge pinned to the west boundary, never short of it
-    proj_deep, _ = horizontal_footprint(swath_at(profile, xdcr, x1), profile.slope_alpha)
+    proj_deep, _ = horizontal_footprint(swath_at(region, xdcr, x1), region.slope_alpha)
     assert 0.0 <= proj_deep - x1 < 1e-6
 
 
@@ -84,29 +82,32 @@ def test_first_line_position_flat(xdcr):
     assert x1 == pytest.approx(190.52558883257643, rel=1e-12)
 
 
-def test_first_line_position_against_grid_scan(profile):
+def test_first_line_position_against_grid_scan(region):
     """Solve x = proj_deep(x) for a 90 deg fan by brute grid scan.
 
     The scan shares no code with the closed form: footprints come from a
     vectorized transcription of the law-of-sines construction.
     """
     xdcr90 = TransducerSpec(opening_angle_theta=90.0)
-    ta = math.tan(math.radians(profile.slope_alpha))
+    ta = math.tan(math.radians(region.slope_alpha))
     sin_half = math.sin(math.radians(45.0))
-    k_deep = sin_half / math.sin(math.radians(45.0 - profile.slope_alpha))
-    proj = k_deep * math.cos(math.radians(profile.slope_alpha))
+    k_deep = sin_half / math.sin(math.radians(45.0 - region.slope_alpha))
+    proj = k_deep * math.cos(math.radians(region.slope_alpha))
 
     xs = np.arange(0.0, 400.0, 5e-4)
-    depths = profile.west_edge_depth - xs * ta
+    depths = region.west_edge_depth - xs * ta
     crossing = xs - depths * proj  # negative west of the root
     scan_root = float(xs[np.searchsorted(crossing >= 0.0, True)])
 
-    assert first_line_position(profile, xdcr90) == pytest.approx(scan_root, abs=1e-3)
+    assert first_line_position(region, xdcr90) == pytest.approx(scan_root, abs=1e-3)
 
 
-def test_first_line_position_infeasible_when_capped(profile, xdcr):
+def test_first_line_position_infeasible_when_capped(region, xdcr):
+    narrow = SurveyRegion(
+        width_ew=10.0, length_ns=region.length_ns, center_depth=110.0, slope_alpha=1.5
+    )
     with pytest.raises(NoFeasibleStartError, match="no feasible start"):
-        first_line_position(profile, xdcr, x_max=10.0)
+        first_line_position(narrow, xdcr)
 
 
 def test_next_line_overlap_never_undershoots(region, xdcr):
@@ -170,16 +171,16 @@ def test_plan_survey_default_scenario(reference_plan, region):
         assert 0.10 <= p.overlap_with_previous <= 0.10 + 1e-4
 
 
-def test_plan_survey_covers_the_region(reference_plan, region, profile, xdcr):
+def test_plan_survey_covers_the_region(reference_plan, region, xdcr):
     first, last = reference_plan.placements[0], reference_plan.placements[-1]
-    proj_deep, _ = horizontal_footprint(swath_at(profile, xdcr, first.x), profile.slope_alpha)
+    proj_deep, _ = horizontal_footprint(swath_at(region, xdcr, first.x), region.slope_alpha)
     assert first.x - proj_deep <= 0.0  # west edge reached
-    _, proj_shallow = horizontal_footprint(swath_at(profile, xdcr, last.x), profile.slope_alpha)
+    _, proj_shallow = horizontal_footprint(swath_at(region, xdcr, last.x), region.slope_alpha)
     assert last.x + proj_shallow >= region.width_ew  # east edge reached
     # no line east of the last is needed: the previous one fell short
     second_last = reference_plan.placements[-2]
     _, prev_shallow = horizontal_footprint(
-        swath_at(profile, xdcr, second_last.x), profile.slope_alpha
+        swath_at(region, xdcr, second_last.x), region.slope_alpha
     )
     assert second_last.x + prev_shallow < region.width_ew
 
@@ -222,6 +223,21 @@ def test_plan_survey_rejects_surfacing_inside_region(xdcr):
         plan_survey(shallow, xdcr, 0.10)
 
 
+def test_plan_survey_refuses_a_plan_over_the_line_limit(region, xdcr, monkeypatch):
+    # 1 mm deep, the 7,408 m flat region needs 2,376,117 lines of 3.5 mm swaths;
+    # the count refuses it before any line is placed
+    puddle = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=0.001, slope_alpha=0.0)
+    with pytest.raises(PlanningError, match="too many lines: the plan needs 2.376e\\+06") as exc:
+        plan_survey(puddle, xdcr, 0.10)
+    assert exc.value.partial_plan is None
+    # the limit itself is allowed
+    monkeypatch.setattr(planner, "MAX_LINES", 34)
+    assert plan_survey(region, xdcr, 0.10).line_count == 34
+    monkeypatch.setattr(planner, "MAX_LINES", 33)
+    with pytest.raises(PlanningError, match="too many lines"):
+        plan_survey(region, xdcr, 0.10)
+
+
 def test_plan_survey_attaches_partial_plan_on_late_failure(region):
     # a 150 deg fan cannot pin its deep edge inside a narrow region
     wide = TransducerSpec(opening_angle_theta=150.0)
@@ -236,9 +252,10 @@ def test_plan_survey_attaches_partial_plan_on_late_failure(region):
 def test_placement_contract_over_the_envelope():
     """Every plan keeps both contracts exactly, across the valid input range.
 
-    The first line's deep edge lies at or west of the boundary and every
+    The first line's deep edge lies at or west of the boundary, every
     achieved overlap, recomputed from fresh swath_at widths on the floats
-    the planner returns, equals the recorded one and is at least the target.
+    the planner returns, equals the recorded one and is at least the target,
+    and the closed-form line count is the number of lines placed.
     """
     rng = random.Random(2407)
     planned = 0
@@ -260,14 +277,14 @@ def test_placement_contract_over_the_envelope():
         except PlanningError:
             continue  # grazing beam, no feasible start or a bed too steep for eta
         planned += 1
-        profile = derive_profile(region)
         first = plan.placements[0]
-        proj_deep, _ = horizontal_footprint(swath_at(profile, fan, first.x), alpha)
+        proj_deep, _ = horizontal_footprint(swath_at(region, fan, first.x), alpha)
         assert first.x - proj_deep <= 0.0, (alpha, theta, eta)
+        assert _line_count(region, fan, eta, first.x) == plan.line_count, (alpha, theta, eta)
         for west, east in zip(plan.placements, plan.placements[1:]):
             w_mean = 0.5 * (
-                swath_at(profile, fan, west.x).total_width
-                + swath_at(profile, fan, east.x).total_width
+                swath_at(region, fan, west.x).total_width
+                + swath_at(region, fan, east.x).total_width
             )
             achieved = 1.0 - (east.x - west.x) / w_mean
             assert east.overlap_with_previous == achieved, (alpha, theta, eta)
@@ -302,17 +319,16 @@ def test_plan_survey_nudges_each_step_the_least():
         except PlanningError:
             continue
         planned += 1
-        profile = derive_profile(region)
         ta = math.tan(math.radians(alpha))
         free = (1.0 - eta) * swath_cross_section(1.0, alpha, fan).total_width
         for west, east in zip(plan.placements, plan.placements[1:]):
-            closed = west.x + free * depth_at_x(profile, west.x) / (1.0 + 0.5 * free * ta)
+            closed = west.x + free * depth_at_x(region, west.x) / (1.0 + 0.5 * free * ta)
             assert east.x <= closed, (alpha, theta, eta)
             x = closed
             for _ in range(64):
                 if x == east.x:
                     break
-                w_mean = 0.5 * (west.swath_width + swath_at(profile, fan, x).total_width)
+                w_mean = 0.5 * (west.swath_width + swath_at(region, fan, x).total_width)
                 assert 1.0 - (x - west.x) / w_mean < eta, (alpha, theta, eta)
                 x = math.nextafter(x, -math.inf)
             else:

@@ -9,28 +9,27 @@ import tracemalloc
 import pytest
 
 from swathplan.errors import SurfacedSeabedError
+from swathplan import planner
 from swathplan.geometry import (
+    SwathCrossSection,
     TransducerSpec,
     effective_slope,
-    horizontal_footprint,
     swath_cross_section,
 )
-from swathplan.planner import (
-    DepthProfile,
-    LinePlacement,
-    SurveyPlan,
-    SurveyRegion,
-    derive_profile,
-    plan_survey,
-    swath_at,
+from swathplan.planner import LinePlacement, SurveyPlan, SurveyRegion, plan_survey
+from swathplan.verifier import (
+    _depths_and_reaches,
+    brute_force_next_line,
+    rasterize_coverage,
+    verify_plan,
 )
-from swathplan.verifier import brute_force_next_line, rasterize_coverage, verify_plan
 
-FLAT_110 = DepthProfile(west_edge_depth=110.0, edge_offset_d1=0.0, slope_alpha=0.0)
+FLAT_110 = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=0.0)
 # depth chosen so a 120 deg fan spans exactly 400 m on a flat bed
-FLAT_W400 = DepthProfile(
-    west_edge_depth=200.0 / math.tan(math.radians(60.0)),
-    edge_offset_d1=0.0,
+FLAT_W400 = SurveyRegion(
+    width_ew=7408.0,
+    length_ns=3704.0,
+    center_depth=200.0 / math.tan(math.radians(60.0)),
     slope_alpha=0.0,
 )
 
@@ -97,17 +96,19 @@ def test_rasterize_ratio_converges_with_resolution(reference_plan, region, xdcr)
         assert abs(rc - rf) < (0.2 + 0.1) / footprint_mean
 
 
+def _footprint(region, xdcr, x):
+    """(west end, east end) of the footprint of a line at x, from the verifier's model."""
+    (depth,), _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x])
+    return x - depth * reach_deep, x + depth * reach_shallow
+
+
 def _coverage_by_definition(plan, region, xdcr, resolution):
     """(uncovered intervals, pairwise ratios, max multiplicity), one cell at a time.
 
     A cell is covered by every line whose horizontal footprint holds the
     cell's center; a pair shares the cells that both footprints hold.
     """
-    profile = derive_profile(region)
-    footprints = []
-    for p in plan.placements:
-        deep, shallow = horizontal_footprint(swath_at(profile, xdcr, p.x), region.slope_alpha)
-        footprints.append((p.x - deep, p.x + shallow))
+    footprints = [_footprint(region, xdcr, p.x) for p in plan.placements]
     n_cells = math.ceil(region.width_ew / resolution)
     members = []
     for i in range(n_cells):
@@ -174,7 +175,7 @@ def test_rasterize_matches_cell_by_cell_definition(xdcr):
 def test_rasterize_footprints_narrower_than_a_cell(xdcr):
     # 0.5 m deep flat bed: 1.73 m footprints on 4 m cells with centers 2, 6, 10, ...
     region = SurveyRegion(width_ew=400.0, length_ns=100.0, center_depth=0.5, slope_alpha=0.0)
-    half = horizontal_footprint(swath_at(derive_profile(region), xdcr, 0.0), 0.0)[0]
+    half = -_footprint(region, xdcr, 0.0)[0]
     w = 2.0 * half
     # two footprints between centers, one around the 6 m center, and two
     # whose east and west edges land exactly on the 10 m center
@@ -192,34 +193,41 @@ def test_rasterize_footprints_narrower_than_a_cell(xdcr):
     _assert_matches_definition(plan, region, xdcr, 4.0)
 
 
-def _x_with_edge(profile, xdcr, target, east):
-    """A line position whose footprint's west (or east) edge is exactly target."""
-    deep, shallow = horizontal_footprint(swath_at(profile, xdcr, target), profile.slope_alpha)
-    x = target - shallow if east else target + deep
+def _xs_with_edges_around(region, xdcr, center, east):
+    """Line positions whose footprint's west (or east) edge is center, and is
+    the nearest double below and above center that such an edge reaches.
+
+    On a flat bed an edge is x -+ a fixed extent, rounded. Where that extent
+    ends in half an ulp of x, rounding to even skips every other double, so
+    the nearest edge beside a center can be two ulps from it.
+    """
+    side = 1 if east else 0
+    lo, hi = _footprint(region, xdcr, center)
+    x = center - (hi - center) if east else center + (center - lo)
     for _ in range(64):
-        deep, shallow = horizontal_footprint(swath_at(profile, xdcr, x), profile.slope_alpha)
-        edge = x + shallow if east else x - deep
-        if edge == target:
-            return x
-        x = math.nextafter(x, math.inf if edge < target else -math.inf)
-    raise AssertionError(f"no line position puts an edge on {target!r}")
+        x = math.nextafter(x, -math.inf)
+    edges = {}  # edge -> first line position giving it
+    for _ in range(129):
+        edges.setdefault(_footprint(region, xdcr, x)[side], x)
+        x = math.nextafter(x, math.inf)
+    assert center in edges, f"no line position puts an edge on {center!r}"
+    below = max(edge for edge in edges if edge < center)
+    above = min(edge for edge in edges if edge > center)
+    return edges[below], edges[center], edges[above]
 
 
 @pytest.mark.parametrize("resolution, cells", [(4.0, (2, 50)), (0.1, (164, 2000, 3141))])
 def test_rasterize_edges_one_ulp_beside_a_center(xdcr, resolution, cells):
-    # for an edge on or one ulp beside a center, x / resolution - 0.5 sits
-    # within rounding of the center's index, so only the comparison with the
-    # center's double decides (at 0.1 m, cell 164's own center gives just
+    # for an edge on or an ulp or two beside a center, x / resolution - 0.5
+    # sits within rounding of the center's index, so only the comparison with
+    # the center's double decides (at 0.1 m, cell 164's own center gives just
     # under 164)
     region = SurveyRegion(width_ew=400.0, length_ns=100.0, center_depth=0.5, slope_alpha=0.0)
-    profile = derive_profile(region)
     lines = []
     for i in cells:
         center = (i + 0.5) * resolution
-        below, above = math.nextafter(center, -math.inf), math.nextafter(center, math.inf)
-        for target in (below, center, above):
-            for east in (False, True):
-                x = _x_with_edge(profile, xdcr, target, east)
+        for east in (False, True):
+            for x in _xs_with_edges_around(region, xdcr, center, east):
                 lines.append(LinePlacement(x=x, swath_width=1.0, overlap_with_previous=None))
     for line in lines:
         _assert_matches_definition(_plan_of([line], region), region, xdcr, resolution)
@@ -249,11 +257,11 @@ def test_brute_force_flat_closed_form(xdcr):
     assert x == pytest.approx(860.0, abs=0.0100001)
 
 
-def test_brute_force_matches_bisection_on_default_profile(reference_plan, profile, xdcr):
+def test_brute_force_matches_bisection_on_default_profile(reference_plan, region, xdcr):
     # every step of the reference plan, once solved by bisection, now in closed form
     lines = reference_plan.placements
     for west, east in zip(lines, lines[1:]):
-        scanned = brute_force_next_line(profile, xdcr, west.x, 0.10, step=0.01)
+        scanned = brute_force_next_line(region, xdcr, west.x, 0.10, step=0.01)
         assert abs(scanned - east.x) <= 0.02
 
 
@@ -283,12 +291,12 @@ def test_brute_force_agrees_over_random_profiles(xdcr):
         if not starts:
             continue
         i = rng.choice(starts)
-        scanned = brute_force_next_line(derive_profile(region), fan, lines[i].x, eta, step=0.01)
+        scanned = brute_force_next_line(region, fan, lines[i].x, eta, step=0.01)
         assert abs(scanned - lines[i + 1].x) <= 0.02
         solves += 1
 
 
-def test_brute_force_error_cases(profile, xdcr):
+def test_brute_force_error_cases(region, xdcr):
     with pytest.raises(ValueError, match="scan step"):
         brute_force_next_line(FLAT_110, xdcr, 0.0, 0.10, step=0.0)
     with pytest.raises(ValueError, match="overlap target"):
@@ -298,7 +306,7 @@ def test_brute_force_error_cases(profile, xdcr):
     with pytest.raises(ValueError, match="no candidate"):
         brute_force_next_line(FLAT_110, xdcr, 0.0, 0.5, step=300.0)
     with pytest.raises(SurfacedSeabedError, match="surfaced seabed"):
-        brute_force_next_line(profile, xdcr, 9000.0, 0.10)
+        brute_force_next_line(region, xdcr, 9000.0, 0.10)
 
 
 def test_verify_default_plan_passes(reference_plan, region, xdcr):
@@ -306,6 +314,8 @@ def test_verify_default_plan_passes(reference_plan, region, xdcr):
     assert result.passed
     assert result.findings == ()
     assert result.report.uncovered_intervals == ()
+    # the narrowest footprint, 43 m, asks for no finer cell than 0.1 m
+    assert result.report.resolution == 0.1
 
 
 def test_verify_detects_deleted_line(reference_plan, region, xdcr):
@@ -392,3 +402,35 @@ def test_verify_randomized_scenarios(xdcr):
         expected = 1.0 - (1.0 - eta) * k_factor
         result = verify_plan(plan, region, fan, expected, expected)
         assert result.passed, (alpha, theta, eta, result.findings[:3])
+
+
+def test_verify_catches_a_planner_with_swapped_swath_halves(monkeypatch):
+    """A fault in the planner's swath shows: the audit derives its own footprints."""
+    rng = random.Random(510)
+    scenarios = []
+    for _ in range(9):
+        center = rng.choice((110.0, 500.0))
+        region = SurveyRegion(
+            width_ew=rng.uniform(2.0, 4.0) * center,
+            length_ns=1852.0,
+            center_depth=center,
+            slope_alpha=rng.uniform(2.0, 12.0),
+        )
+        scenarios.append((region, rng.uniform(0.10, 0.15)))
+    fan = TransducerSpec(opening_angle_theta=120.0)
+
+    def verdicts():
+        return [
+            verify_plan(plan_survey(region, fan, eta), region, fan, eta, eta + 0.1).passed
+            for region, eta in scenarios
+        ]
+
+    sound = verdicts()
+
+    def swapped(depth, gamma, xdcr):
+        s = swath_cross_section(depth, gamma, xdcr)
+        return SwathCrossSection(s.local_depth, s.half_shallow, s.half_deep, s.total_width)
+
+    monkeypatch.setattr(planner, "swath_cross_section", swapped)
+    faulty = verdicts()
+    assert any(ok and not caught for ok, caught in zip(sound, faulty)), (sound, faulty)
