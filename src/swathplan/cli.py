@@ -1,14 +1,17 @@
 """Command line front end: width-table, plan, verify and plot-data.
 
 Exit statuses: 0 success or verification pass, 1 verification failure or an
-infeasible scenario, 2 usage, config or parse errors.
+infeasible scenario, 2 usage, config or parse errors, or output that cannot
+be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 from .config import ConfigError, ScenarioConfig, load_config
@@ -105,18 +108,26 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return load_config(args.config, overrides)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks to stdout or to the file at ``out``, each as it comes."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
-    """Swath width per (heading, distance) cell; failed cells print as ERR/null."""
+    """Swath width per (heading, distance) cell; failed cells print as ERR/null.
+
+    Rows are computed and written one heading at a time, so memory holds one
+    row however large the grid.
+    """
     distances_m = [nm_to_m(d) for d in cfg.distances_nm]
-    grid = width_table(cfg.seabed, cfg.transducer, list(cfg.headings_deg), distances_m)
+    rows = (
+        (heading, width_table(cfg.seabed, cfg.transducer, [heading], distances_m)[0])
+        for heading in cfg.headings_deg
+    )
     sig = cfg.precision
     labels = [format_sig(d, sig) for d in cfg.distances_nm]
     if cfg.format == "json":
@@ -128,22 +139,25 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
                     for label, w in zip(labels, row)
                 },
             }
-            for heading, row in zip(cfg.headings_deg, grid)
+            for heading, row in rows
         ]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     else:
         # one % operation per row; "%.{sig}g" prints what format_sig prints
         spec = f"%.{min(sig, MAX_SIG_DIGITS)}g"
         full_row = ",".join([spec] * len(labels))
-        lines = ["heading_deg," + ",".join(labels)]
-        for heading, row in zip(cfg.headings_deg, grid):
-            if None in row:
-                template = ",".join("ERR" if w is None else spec for w in row)
-                row = [w for w in row if w is not None]
-            else:
-                template = full_row
-            lines.append(spec % heading + "," + template % tuple(row))
-        _emit("\n".join(lines) + "\n", args.out)
+
+        def lines() -> Iterator[str]:
+            yield "heading_deg," + ",".join(labels) + "\n"
+            for heading, row in rows:
+                if None in row:
+                    template = ",".join("ERR" if w is None else spec for w in row)
+                    row = [w for w in row if w is not None]
+                else:
+                    template = full_row
+                yield spec % heading + "," + template % tuple(row) + "\n"
+
+        _emit(lines(), args.out)
     return 0
 
 
@@ -155,7 +169,7 @@ def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         body = write_plan_json(plan, d1, cfg.precision)
     else:
         body = write_plan_csv(plan, d1, cfg.precision)
-    _emit(body, args.out)
+    _emit([body], args.out)
     if args.out is not None:
         summary = plan_summary(plan, d1, cfg.precision)
         print(
@@ -185,7 +199,7 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         )
     else:
         lines.append(f"FAIL: {len(result.findings)} finding(s)")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if result.passed else 1
 
 
@@ -215,8 +229,23 @@ def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
             for i, p in enumerate(plan.placements)
         ],
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     return 0
+
+
+def _drop_unwritable_stdout() -> None:
+    """Point stdout at the null device if it still cannot flush.
+
+    Output that stdout could not write (a closed pipe, a full disk) stays
+    buffered, and the interpreter's flush at exit would fail on it again,
+    with a second report and status 120.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -224,9 +253,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        return args.handler(args, cfg)
+        code = args.handler(args, cfg)
+        sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
+        return code
     except (ConfigError, PlanParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        _drop_unwritable_stdout()
         return 2
     except PlanningError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -95,9 +95,11 @@ def rasterize_coverage(
     than trusted from the plan. An empty plan yields one uncovered interval
     spanning the whole region.
     """
-    if resolution <= 0.0 or resolution > region.width_ew / 100.0:
+    # at most 2**52 cells keeps every cell index an exact double; NaN fails too
+    finest, coarsest = region.width_ew * 2.0**-52, region.width_ew / 100.0
+    if not finest <= resolution <= coarsest:
         raise ValueError(
-            f"resolution must be in (0, {region.width_ew / 100.0:g}] m, got {resolution:g}"
+            f"resolution must be in [{finest:g}, {coarsest:g}] m, got {resolution:g}"
         )
     xs = [p.x for p in plan.placements]
     depths, _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -120,7 +122,13 @@ def test_width_table_rows_match_per_cell_formatting(sig, tmp_path, capsys):
         encoding="utf-8",
     )
     assert main(["width-table", "--config", str(cfg)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    # --out writes the very bytes stdout gets
+    table = tmp_path / "grid.csv"
+    assert main(["width-table", "--config", str(cfg), "--out", str(table)]) == 0
+    assert capsys.readouterr().out == ""
+    assert table.read_bytes() == out.encode("utf-8")
 
     grid = width_table(
         PlanarSeabed(120.0, 45.0),
@@ -134,6 +142,81 @@ def test_width_table_rows_match_per_cell_formatting(sig, tmp_path, capsys):
         cells = ["ERR" if w is None else f"{w:.{sig}g}" for w in row]
         expected.append(f"{heading:.{sig}g}," + ",".join(cells))
     assert lines == expected
+
+
+class _ChunkRecorder(io.StringIO):
+    """A stdout that keeps every chunk written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return super().write(text)
+
+
+def test_width_table_writes_one_row_at_a_time(monkeypatch):
+    # uphill rows past 2.47 NM put ERR cells in the grid too
+    headings = [float(h) for h in range(0, 360, 2)]
+    distances = [0.05 * i for i in range(60)]
+    stdout = _ChunkRecorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["width-table", "--headings-deg", ",".join(map(str, headings)),
+            "--distances-nm", ",".join(map(str, distances))]
+    assert main(argv) == 0
+
+    grid = width_table(
+        PlanarSeabed(120.0, 1.5), TransducerSpec(120.0), headings, [nm_to_m(d) for d in distances]
+    )
+    assert 0 < sum(row.count(None) for row in grid) < len(headings) * len(distances)
+    expected = ["heading_deg," + ",".join(f"{d:.6g}" for d in distances) + "\n"]
+    for heading, row in zip(headings, grid):
+        cells = ["ERR" if w is None else f"{w:.6g}" for w in row]
+        expected.append(f"{heading:.6g}," + ",".join(cells) + "\n")
+    assert "".join(stdout.chunks) == "".join(expected)
+    assert max(map(len, stdout.chunks)) <= max(map(len, expected))
+
+
+def _big_grid(tmp_path):
+    """A config for a 360 x 1,000 width grid: about 2.8 MB of CSV."""
+    cfg = tmp_path / "big_grid.json"
+    cfg.write_text(
+        json.dumps(
+            {"headings_deg": list(range(360)), "distances_nm": [0.003 * i for i in range(1000)]}
+        ),
+        encoding="utf-8",
+    )
+    return str(cfg)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_width_table_closed_pipe_exits_2(unbuffered, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swathplan", "width-table", "--config", _big_grid(tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"heading_deg,0,0.003,")
+    proc.stdout.close()  # the reader goes away after the first line
+    _, stderr = proc.communicate(timeout=60)
+    stderr = stderr.decode()
+    assert proc.returncode == 2, stderr
+    assert stderr.count("error:") == 1, stderr
+    assert "Broken pipe" in stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def test_width_table_memory_stays_flat(tmp_path, cli_peak_rss_kib):
+    floor_code, floor_kib = cli_peak_rss_kib("width-table", "--help")
+    code, kib = cli_peak_rss_kib("width-table", "--config", _big_grid(tmp_path))
+    assert (floor_code, code) == (0, 0)
+    # the whole grid and its text held at once come to about 22 MiB
+    assert kib - floor_kib <= 4 * 1024, (kib, floor_kib)
 
 
 def test_width_table_rejects_bad_list():
@@ -347,6 +430,26 @@ def test_missing_subcommand_exits_2():
 def test_unwritable_out_exits_2(tmp_path, capsys):
     assert main(["plan", "--out", str(tmp_path / "no" / "such" / "dir.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("command", ["plan", "width-table"])
+def test_unwritable_stdout_exits_2(command):
+    # buffered, so the write fails when the output is flushed, not when it is made
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "swathplan", command],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("error:") == 1, proc.stderr
+    assert "No space left" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_module_entrypoint_smoke():

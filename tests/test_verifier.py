@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -65,11 +67,35 @@ def test_rasterize_single_line_gaps(xdcr):
     assert report.max_multiplicity == 1
 
 
+TINY_RESOLUTION_SCRIPT = """
+from swathplan.geometry import TransducerSpec
+from swathplan.planner import SurveyRegion, plan_survey
+from swathplan.verifier import rasterize_coverage
+
+region = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=1.5)
+xdcr = TransducerSpec(opening_angle_theta=120.0)
+try:
+    rasterize_coverage(plan_survey(region, xdcr, 0.10), region, xdcr, resolution=1e-300)
+except ValueError as err:
+    print(err)
+"""
+
+
 def test_rasterize_rejects_bad_resolution(reference_plan, region, xdcr):
-    with pytest.raises(ValueError, match="resolution"):
-        rasterize_coverage(reference_plan, region, xdcr, resolution=0.0)
-    with pytest.raises(ValueError, match="resolution"):
-        rasterize_coverage(reference_plan, region, xdcr, resolution=region.width_ew / 99.0)
+    # 1e-320 overflows the cell count to infinity; NaN fails every comparison
+    for resolution in (0.0, region.width_ew / 99.0, 1e-320, math.nan):
+        with pytest.raises(ValueError, match="resolution"):
+            rasterize_coverage(reference_plan, region, xdcr, resolution=resolution)
+    # let through, 1e-300 steps one cell at a time among indices near 1e303
+    # that are no longer exact doubles, so it runs where a timeout can stop it
+    proc = subprocess.run(
+        [sys.executable, "-c", TINY_RESOLUTION_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("resolution must be in"), proc.stdout
 
 
 def test_rasterize_default_plan(reference_plan, region, xdcr):
