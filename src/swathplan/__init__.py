@@ -1,9 +1,7 @@
 """Multibeam swath geometry and survey line layout over a planar sloped seabed.
 
 The package exports its library entry points. Lower-level pieces live in the
-submodules; the coverage audit and its two test oracles are in
-``swathplan.verifier``. Only those oracles use numpy, and they import it when
-called, so neither the package nor any CLI subcommand loads it.
+submodules; the coverage audit is in ``swathplan.verifier``.
 """
 
 from .config import ConfigError, ScenarioConfig, load_config

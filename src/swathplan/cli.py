@@ -26,8 +26,7 @@ from .planfile import (
     write_plan_csv,
     write_plan_json,
 )
-from .planner import depth_at_x, plan_survey
-from .units import nm_to_m
+from .planner import METERS_PER_NAUTICAL_MILE, depth_at_x, plan_survey
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -123,7 +122,7 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     Rows are computed and written one heading at a time, so memory holds one
     row however large the grid.
     """
-    distances_m = [nm_to_m(d) for d in cfg.distances_nm]
+    distances_m = [d * METERS_PER_NAUTICAL_MILE for d in cfg.distances_nm]
     rows = (
         (heading, width_table(cfg.seabed, cfg.transducer, [heading], distances_m)[0])
         for heading in cfg.headings_deg

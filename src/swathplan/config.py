@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .geometry import PlanarSeabed, TransducerSpec
-from .planner import SurveyRegion
-from .units import nm_to_m
+from .planner import METERS_PER_NAUTICAL_MILE, SurveyRegion
 
 
 class ConfigError(ValueError):
@@ -20,7 +19,8 @@ class ConfigError(ValueError):
 # Reference scenario: 4 x 2 NM region shoaling eastward from a 110 m center
 # depth at 1.5 deg, a 120 deg opening and a 10 percent overlap target. Width
 # tables default to a 120 m reference depth on the same bed, swept over eight
-# headings and eight along-line distances.
+# headings and eight along-line distances. An unset (None) overlap band
+# follows the target: [eta, min(eta + 0.1, (1 + eta) / 2)].
 DEFAULTS: dict[str, Any] = {
     "seabed": {"reference_depth_m": 120.0, "slope_alpha_deg": 1.5},
     "transducer": {"opening_angle_deg": 120.0},
@@ -31,8 +31,8 @@ DEFAULTS: dict[str, Any] = {
         "slope_alpha_deg": 1.5,
     },
     "eta_target": 0.10,
-    "eta_min": 0.10,
-    "eta_max": 0.20,
+    "eta_min": None,
+    "eta_max": None,
     "headings_deg": [0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0],
     "distances_nm": [0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1],
     "format": "csv",
@@ -105,19 +105,20 @@ def _build(doc: dict[str, Any]) -> ScenarioConfig:
         seabed = PlanarSeabed(doc["seabed"]["reference_depth_m"], doc["seabed"]["slope_alpha_deg"])
         transducer = TransducerSpec(doc["transducer"]["opening_angle_deg"])
         region = SurveyRegion(
-            width_ew=nm_to_m(doc["region"]["width_ew_nm"]),
-            length_ns=nm_to_m(doc["region"]["length_ns_nm"]),
+            width_ew=doc["region"]["width_ew_nm"] * METERS_PER_NAUTICAL_MILE,
+            length_ns=doc["region"]["length_ns_nm"] * METERS_PER_NAUTICAL_MILE,
             center_depth=doc["region"]["center_depth_m"],
             slope_alpha=doc["region"]["slope_alpha_deg"],
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if not 0.0 < doc["eta_target"] < 1.0:
-        raise ConfigError(f"eta_target must be in (0, 1), got {doc['eta_target']}")
-    if not 0.0 <= doc["eta_min"] <= doc["eta_max"] < 1.0:
-        raise ConfigError(
-            f"need 0 <= eta_min <= eta_max < 1, got [{doc['eta_min']}, {doc['eta_max']}]"
-        )
+    eta = doc["eta_target"]
+    if not 0.0 < eta < 1.0:
+        raise ConfigError(f"eta_target must be in (0, 1), got {eta}")
+    eta_min = eta if doc["eta_min"] is None else doc["eta_min"]
+    eta_max = min(eta + 0.1, 0.5 * (1.0 + eta)) if doc["eta_max"] is None else doc["eta_max"]
+    if not 0.0 <= eta_min <= eta_max < 1.0:
+        raise ConfigError(f"need 0 <= eta_min <= eta_max < 1, got [{eta_min}, {eta_max}]")
     for beta in doc["headings_deg"]:
         if not 0.0 <= beta < 360.0:
             raise ConfigError(f"headings must be in [0, 360) degrees, got {beta}")
@@ -125,9 +126,9 @@ def _build(doc: dict[str, Any]) -> ScenarioConfig:
         seabed=seabed,
         transducer=transducer,
         region=region,
-        eta_target=doc["eta_target"],
-        eta_min=doc["eta_min"],
-        eta_max=doc["eta_max"],
+        eta_target=eta,
+        eta_min=eta_min,
+        eta_max=eta_max,
         headings_deg=tuple(doc["headings_deg"]),
         distances_nm=tuple(doc["distances_nm"]),
         format=doc["format"],

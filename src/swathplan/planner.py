@@ -25,7 +25,8 @@ from .errors import (
     SurfacedSeabedError,
 )
 from .geometry import SwathCrossSection, TransducerSpec, horizontal_footprint, swath_cross_section
-from .units import METERS_PER_NAUTICAL_MILE
+
+METERS_PER_NAUTICAL_MILE = 1852.0  # by definition
 
 # Longest plan plan_survey lays out; its closed-form line count is checked
 # against this before the first line is placed.

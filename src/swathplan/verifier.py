@@ -1,4 +1,4 @@
-"""Independent coverage checks for survey plans, and the numpy oracles.
+"""Independent coverage checks for survey plans.
 
 The audit derives each footprint from the region and the fan alone: an
 outer beam tilted h = theta/2 from vertical meets a bed dipping alpha at
@@ -6,9 +6,7 @@ D tan h / (1 -+ tan h tan alpha) from the line, minus on the deep (west)
 side, a ray-plane intersection that shares no arithmetic with the planner's
 law of sines. The raster finds the cells a footprint holds from its two
 ends, never per cell, so its time and memory grow with the line count, not
-the cell count. The grid-scan solver uses the same footprints; the vector
-construction of the cross-track slope shares nothing with geometry's closed
-form. Only those two oracles use numpy, and they import it when called.
+the cell count.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BeamGrazeError, SurfacedSeabedError
-from .geometry import TransducerSpec, _check_angles
+from .geometry import TransducerSpec
 from .planner import SurveyPlan, SurveyRegion
 
 DEFAULT_RESOLUTION_M = 0.1
@@ -164,76 +162,6 @@ def _centers_below(x: float, resolution: float, n_cells: int, inclusive: bool) -
     return k
 
 
-def effective_slope_numeric(alpha_deg: float, beta_deg: float) -> float:
-    """Gamma (deg) from explicit vector construction; oracle for effective_slope.
-
-    Builds the across-track direction n3 = n1 x n2 (line direction crossed
-    with the bed normal) and measures its angle to its own horizontal
-    projection n4. Returns 0 by convention where a projection degenerates
-    to zero length.
-    """
-    import numpy as np
-
-    _check_angles(alpha_deg, beta_deg)
-    a = math.radians(alpha_deg)
-    b = math.radians(beta_deg)
-    n1 = np.array([math.cos(b), math.sin(b), 0.0])
-    n2 = np.array([math.sin(a), 0.0, math.cos(a)])
-    n3 = np.cross(n1, n2)
-    n4 = n3 * np.array([1.0, 1.0, 0.0])
-    norm3 = float(np.linalg.norm(n3))
-    norm4 = float(np.linalg.norm(n4))
-    if norm3 == 0.0 or norm4 == 0.0:
-        return 0.0
-    cos_g = float(np.dot(n3, n4)) / (norm3 * norm4)
-    return math.degrees(math.acos(max(-1.0, min(1.0, cos_g))))
-
-
-def brute_force_next_line(
-    region: SurveyRegion,
-    xdcr: TransducerSpec,
-    x_prev: float,
-    eta_target: float,
-    step: float = 0.01,
-) -> float:
-    """Grid-scan oracle for the planner's next-line solve.
-
-    Walks candidates x_prev + k*step downward from the far end of the
-    bracket (one previous-line width east) and returns the first whose
-    achieved overlap reaches eta_target. Widths come from the audit's own
-    footprints, so the oracle shares nothing with the planner's solver path.
-    Agreement with the closed form is within one step.
-    """
-    import numpy as np
-
-    if step <= 0.0:
-        raise ValueError(f"scan step must be positive, got {step}")
-    if not 0.0 < eta_target < 1.0:
-        raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    (depth_prev,), ta, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x_prev])
-    # the planner spaces lines on bed-measured widths: footprints over cos(alpha)
-    k_width = (reach_deep + reach_shallow) / math.cos(math.radians(region.slope_alpha))
-    w_prev = depth_prev * k_width
-    n = int(math.floor(w_prev / step + 1e-12))
-    if n < 1:
-        raise ValueError(
-            f"no solution in bracket: scan step {step:g} m exceeds the "
-            f"{w_prev:g} m bracket"
-        )
-    xs = x_prev + np.arange(1, n + 1) * step
-    depths = depth_prev - (xs - x_prev) * ta
-    widths = depths * k_width
-    etas = 1.0 - (xs - x_prev) / (0.5 * (w_prev + widths))
-    hits = np.nonzero((depths > 0.0) & (etas >= eta_target))[0]
-    if hits.size == 0:
-        raise ValueError(
-            f"no solution in bracket: no candidate reaches overlap {eta_target:g}"
-        )
-    # etas fall with x, so the last ascending hit is the first one met
-    # when walking down from the far end
-    return float(xs[hits[-1]])
-
-
 def verify_plan(
     plan: SurveyPlan,
     region: SurveyRegion,
@@ -245,15 +173,19 @@ def verify_plan(
     """Pass/fail coverage audit of a plan.
 
     Fails on any uncovered interval, any pairwise rasterized overlap ratio
-    outside [eta_min - RATIO_SLACK, eta_max + RATIO_SLACK], or bed-measured
-    widths that break the bed's shape: on a sloped bed they must shrink
-    strictly west to east, on a flat bed they must all be equal. The raster
-    resolution defaults to the finest of DEFAULT_RESOLUTION_M, a hundredth
-    of the region width (the coarsest the raster accepts) and RATIO_SLACK / 2
-    of the narrowest footprint. A pair's rasterized shared extent is off by
-    under one cell, so that last bound keeps each ratio's raster error
-    within half the slack for any footprint wider than 400 * 2**-52 of the
-    region width.
+    outside [eta_min - RATIO_SLACK, eta_max + RATIO_SLACK], lines out of
+    strict west-to-east order, or bed-measured widths that break the bed's
+    shape: on a sloped bed they must not grow eastward, on a flat bed they
+    must all be equal. A plan file rounds widths to its printed digits, and
+    rounding is monotone, so neighbours on a gentle slope may print equal
+    widths but never growing ones.
+
+    The raster resolution defaults to the finest of DEFAULT_RESOLUTION_M, a
+    hundredth of the region width (the coarsest the raster accepts) and
+    RATIO_SLACK / 2 of the narrowest footprint. A pair's rasterized shared
+    extent is off by under one cell, so that last bound keeps each ratio's
+    raster error within half the slack for any footprint wider than
+    400 * 2**-52 of the region width.
     """
     if resolution is None:
         resolution = min(DEFAULT_RESOLUTION_M, region.width_ew / 100.0)
@@ -275,16 +207,13 @@ def verify_plan(
                 f"lines {i + 1}-{i + 2}: rasterized overlap {ratio:.5f} outside "
                 f"[{band_lo:.5f}, {band_hi:.5f}]"
             )
-    widths = [p.swath_width for p in plan.placements]
-    for i, (w_west, w_east) in enumerate(zip(widths, widths[1:])):
-        if region.slope_alpha > 0.0 and not w_east < w_west:
-            findings.append(
-                f"lines {i + 1}-{i + 2}: width not strictly decreasing "
-                f"({w_west:.4f} -> {w_east:.4f} m)"
-            )
-        elif region.slope_alpha == 0.0 and w_east != w_west:
-            findings.append(
-                f"lines {i + 1}-{i + 2}: width not constant on a flat bed "
-                f"({w_west:.4f} -> {w_east:.4f} m)"
-            )
+    for i, (west, east) in enumerate(zip(plan.placements, plan.placements[1:])):
+        pair = f"lines {i + 1}-{i + 2}"
+        if not west.x < east.x:
+            findings.append(f"{pair}: not west to east ({west.x:.4f} -> {east.x:.4f} m)")
+        change = f"({west.swath_width:.4f} -> {east.swath_width:.4f} m)"
+        if region.slope_alpha > 0.0 and east.swath_width > west.swath_width:
+            findings.append(f"{pair}: width grows eastward {change}")
+        elif region.slope_alpha == 0.0 and east.swath_width != west.swath_width:
+            findings.append(f"{pair}: width not constant on a flat bed {change}")
     return VerificationResult(passed=not findings, findings=tuple(findings), report=report)

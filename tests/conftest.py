@@ -11,8 +11,7 @@ import pytest
 
 import swathplan
 from swathplan.geometry import PlanarSeabed, TransducerSpec
-from swathplan.planner import SurveyRegion, plan_survey
-from swathplan.units import nm_to_m
+from swathplan.planner import METERS_PER_NAUTICAL_MILE, SurveyRegion, plan_survey
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -74,8 +73,8 @@ def seabed():
 def region():
     # 4 NM x 2 NM, 110 m at the center, deep side west
     return SurveyRegion(
-        width_ew=nm_to_m(4.0),
-        length_ns=nm_to_m(2.0),
+        width_ew=4.0 * METERS_PER_NAUTICAL_MILE,
+        length_ns=2.0 * METERS_PER_NAUTICAL_MILE,
         center_depth=110.0,
         slope_alpha=1.5,
     )

@@ -21,12 +21,9 @@ from swathplan.geometry import (
     width_table,
 )
 from swathplan.planner import SurveyPlan, SurveyRegion, plan_survey
-from swathplan.verifier import (
-    brute_force_next_line,
-    effective_slope_numeric,
-    rasterize_coverage,
-    verify_plan,
-)
+from swathplan.verifier import rasterize_coverage, verify_plan
+
+from oracles import brute_force_next_line, effective_slope_numeric
 
 NM = 1852.0
 

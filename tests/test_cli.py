@@ -13,7 +13,7 @@ import pytest
 
 from swathplan.cli import main
 from swathplan.geometry import PlanarSeabed, TransducerSpec, width_table
-from swathplan.units import nm_to_m
+from swathplan.planner import METERS_PER_NAUTICAL_MILE
 
 
 def run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -134,7 +134,7 @@ def test_width_table_rows_match_per_cell_formatting(sig, tmp_path, capsys):
         PlanarSeabed(120.0, 45.0),
         TransducerSpec(120.0),
         ROW_TEST_HEADINGS,
-        [nm_to_m(d) for d in ROW_TEST_DISTANCES_NM],
+        [d * METERS_PER_NAUTICAL_MILE for d in ROW_TEST_DISTANCES_NM],
     )
     assert [row.count(None) for row in grid] == [0, 0, 7, 3, 0]
     expected = ["heading_deg," + ",".join(f"{d:.{sig}g}" for d in ROW_TEST_DISTANCES_NM)]
@@ -166,9 +166,8 @@ def test_width_table_writes_one_row_at_a_time(monkeypatch):
             "--distances-nm", ",".join(map(str, distances))]
     assert main(argv) == 0
 
-    grid = width_table(
-        PlanarSeabed(120.0, 1.5), TransducerSpec(120.0), headings, [nm_to_m(d) for d in distances]
-    )
+    distances_m = [d * METERS_PER_NAUTICAL_MILE for d in distances]
+    grid = width_table(PlanarSeabed(120.0, 1.5), TransducerSpec(120.0), headings, distances_m)
     assert 0 < sum(row.count(None) for row in grid) < len(headings) * len(distances)
     expected = ["heading_deg," + ",".join(f"{d:.6g}" for d in distances) + "\n"]
     for heading, row in zip(headings, grid):
@@ -315,6 +314,16 @@ def test_verify_respects_scenario_overrides(tmp_path, capsys):
     main(["plan", "--out", str(plan_path)])
     capsys.readouterr()
     assert main(["verify", str(plan_path), "--center-depth-m", "200"]) == 1
+
+
+@pytest.mark.parametrize("eta", ["0.05", "0.3", "0.6", "0.9", "0.95"])
+def test_verify_band_follows_the_planned_eta(eta, tmp_path, capsys):
+    # with no eta_min/eta_max given, the band verify checks derives from --eta
+    plan_path = tmp_path / "plan.csv"
+    assert main(["plan", "--eta", eta, "--out", str(plan_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(plan_path), "--eta", eta]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
 
 
 def test_verify_passes_flat_bed_plan(tmp_path, capsys):

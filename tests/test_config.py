@@ -77,6 +77,7 @@ def test_invalid_values_rejected(tmp_path):
     bad_docs = [
         {"eta_target": 1.5},
         {"eta_min": 0.3, "eta_max": 0.2},
+        {"eta_target": 0.3, "eta_min": 0.5},  # above the derived eta_max
         {"region": {"center_depth_m": -5.0}},
         {"transducer": {"opening_angle_deg": 200.0}},
         {"format": "xml"},
@@ -92,6 +93,20 @@ def test_invalid_values_rejected(tmp_path):
     for doc in bad_docs:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    ("doc", "band"),
+    [
+        ({"eta_target": 0.3}, (0.3, 0.4)),
+        ({"eta_target": 0.95}, (0.95, 0.975)),  # (1 + eta) / 2 keeps eta_max below 1
+        ({"eta_target": 0.3, "eta_min": 0.25}, (0.25, 0.4)),
+        ({"eta_target": 0.3, "eta_max": 0.5}, (0.3, 0.5)),
+    ],
+)
+def test_unset_band_follows_the_target(doc, band, tmp_path):
+    cfg = load_config(write_config(tmp_path, doc))
+    assert (cfg.eta_min, cfg.eta_max) == pytest.approx(band, abs=1e-15)
 
 
 def test_precision_up_to_the_formatter_limit_accepted(tmp_path):

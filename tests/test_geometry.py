@@ -17,7 +17,8 @@ from swathplan.geometry import (
     swath_cross_section,
     width_table,
 )
-from swathplan.verifier import effective_slope_numeric
+
+from oracles import effective_slope_numeric
 
 
 def _depth_under(seabed, xdcr, beta, dist):

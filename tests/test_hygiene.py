@@ -45,7 +45,6 @@ VERIFIER_MAY_IMPORT = {
     ("planner", "SurveyPlan"),
     ("planner", "SurveyRegion"),
     ("geometry", "TransducerSpec"),
-    ("geometry", "_check_angles"),
 }
 
 
@@ -73,3 +72,61 @@ def test_unused_import_is_caught():
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _numpy_imports(source: str) -> list[int]:
+    """Line of every import of numpy or a numpy submodule, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_numpy_import_is_caught():
+    source = "import math\n\ndef f():\n    import numpy.linalg as la\n    from numpy import dot\n"
+    assert _numpy_imports(source) == [4, 5]
+    assert _numpy_imports("from . import numpyish\nimport numpyish\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_numpy(module):
+    assert _numpy_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _unreferenced(sources: list[str]) -> list[str]:
+    """Top-level functions and classes no source names (a name, attribute or string)."""
+    defined, referenced = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    return sorted(set(defined) - referenced)
+
+
+def test_unreferenced_definition_is_caught():
+    sources = ["def used():\n    pass\n\nclass Spare:\n    pass\n", "__all__ = ['used']\n"]
+    assert _unreferenced(sources) == ["Spare"]
+    sources = ["def f():\n    return g()\n", "import m\nm.f\ndef g():\n    pass\n"]
+    assert _unreferenced(sources) == []
+
+
+def test_every_definition_is_referenced():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unreferenced(sources) == []

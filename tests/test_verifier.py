@@ -18,13 +18,11 @@ from swathplan.geometry import (
     effective_slope,
     swath_cross_section,
 )
+from swathplan.planfile import read_plan, write_plan_csv
 from swathplan.planner import LinePlacement, SurveyPlan, SurveyRegion, plan_survey
-from swathplan.verifier import (
-    _depths_and_reaches,
-    brute_force_next_line,
-    rasterize_coverage,
-    verify_plan,
-)
+from swathplan.verifier import _depths_and_reaches, rasterize_coverage, verify_plan
+
+from oracles import brute_force_next_line
 
 FLAT_110 = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=0.0)
 # depth chosen so a 120 deg fan spans exactly 400 m on a flat bed
@@ -373,7 +371,24 @@ def test_verify_detects_width_ordering(reference_plan, region, xdcr):
     backwards = _plan_of(list(reversed(reference_plan.placements)), region)
     result = verify_plan(backwards, region, xdcr, 0.10, 0.20)
     assert not result.passed
-    assert all("width not strictly decreasing" in f for f in result.findings)
+    kinds = [f.partition(": ")[2].partition(" (")[0] for f in result.findings]
+    assert kinds == ["not west to east", "width grows eastward"] * 33
+    assert result.findings[:2] == (
+        "lines 1-2: not west to east (7398.6452 -> 7355.4622 m)",
+        "lines 1-2: width grows eastward (46.0178 -> 49.9443 m)",
+    )
+
+
+def test_verify_passes_equal_printed_widths_on_a_gentle_slope(xdcr):
+    # at alpha = 1e-4 deg neighbouring widths differ by less than the sixth
+    # printed digit; rounding is monotone, so they print equal, never growing
+    region = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=1e-4)
+    plan = plan_survey(region, xdcr, 0.9)
+    printed = read_plan(write_plan_csv(plan, region.edge_offset_d1, 6), region)
+    widths = [p.swath_width for p in printed.placements]
+    assert any(east == west for west, east in zip(widths, widths[1:]))
+    result = verify_plan(printed, region, xdcr, 0.89, 0.95)
+    assert result.passed, result.findings[:3]
 
 
 def test_verify_width_rule_on_a_flat_bed(xdcr):
