@@ -8,7 +8,6 @@ be written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -130,17 +129,21 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     sig = cfg.precision
     labels = [format_sig(d, sig) for d in cfg.distances_nm]
     if cfg.format == "json":
-        doc = [
-            {
-                "heading_deg": heading,
-                "widths_m": {
+        import json
+
+        def objects() -> Iterator[str]:
+            # the text json.dumps(doc, indent=2) gives for the list of these
+            # objects: each one indented a level, then joined by ",\n"
+            for i, (heading, row) in enumerate(rows):
+                widths = {
                     label: (None if w is None else float(format_sig(w, sig)))
                     for label, w in zip(labels, row)
-                },
-            }
-            for heading, row in rows
-        ]
-        _emit([json.dumps(doc, indent=2) + "\n"], args.out)
+                }
+                text = json.dumps({"heading_deg": heading, "widths_m": widths}, indent=2)
+                yield ("[\n  " if i == 0 else ",\n  ") + text.replace("\n", "\n  ")
+            yield "\n]\n"
+
+        _emit(objects(), args.out)
     else:
         # one % operation per row; "%.{sig}g" prints what format_sig prints
         spec = f"%.{min(sig, MAX_SIG_DIGITS)}g"
@@ -204,6 +207,8 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 
 def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Emit region and plan geometry as JSON for external plotting; renders nothing."""
+    import json
+
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
     sig = cfg.precision
 

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import copy
-import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .geometry import PlanarSeabed, TransducerSpec
 from .planner import METERS_PER_NAUTICAL_MILE, SurveyRegion
@@ -40,8 +37,7 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Validated scenario: the model objects plus the settings shared by all subcommands."""
 
     seabed: PlanarSeabed
@@ -143,8 +139,11 @@ def load_config(path: str | None, overrides: dict[str, Any] | None = None) -> Sc
     turns its flags into one); it is merged after the file and checked the
     same way.
     """
-    doc = copy.deepcopy(DEFAULTS)
+    # _merge writes into the section dicts and replaces every other value whole
+    doc = {key: dict(v) if isinstance(v, dict) else v for key, v in DEFAULTS.items()}
     if path is not None:
+        import json  # only a config file pays for the JSON reader
+
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)

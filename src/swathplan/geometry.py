@@ -11,7 +11,7 @@ verifier each keep their own depth line across the survey region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BeamGrazeError, InvalidDepthError
 
@@ -20,8 +20,12 @@ from .errors import BeamGrazeError, InvalidDepthError
 GRAZING_MARGIN_DEG = 1e-9
 
 
-@dataclass(frozen=True)
-class PlanarSeabed:
+class _PlanarSeabed(NamedTuple):
+    reference_depth: float
+    slope_alpha: float
+
+
+class PlanarSeabed(_PlanarSeabed):
     """Planar seabed model: depth grows linearly in the downhill (+x) direction.
 
     Attributes
@@ -32,29 +36,33 @@ class PlanarSeabed:
         Dip angle of the bed (deg), 0 <= alpha < 90.
     """
 
-    reference_depth: float
-    slope_alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.reference_depth):
-            raise ValueError(f"reference depth must be finite, got {self.reference_depth}")
-        if self.reference_depth <= 0.0:
-            raise ValueError(f"reference depth must be positive, got {self.reference_depth}")
-        if not 0.0 <= self.slope_alpha < 90.0:
-            raise ValueError(f"slope angle must be in [0, 90) degrees, got {self.slope_alpha}")
+    def __new__(cls, reference_depth: float, slope_alpha: float):
+        if not math.isfinite(reference_depth):
+            raise ValueError(f"reference depth must be finite, got {reference_depth}")
+        if reference_depth <= 0.0:
+            raise ValueError(f"reference depth must be positive, got {reference_depth}")
+        if not 0.0 <= slope_alpha < 90.0:
+            raise ValueError(f"slope angle must be in [0, 90) degrees, got {slope_alpha}")
+        return super().__new__(cls, reference_depth, slope_alpha)
 
 
-@dataclass(frozen=True)
-class TransducerSpec:
-    """Multibeam transducer described by the full opening angle between outer beams."""
-
+class _TransducerSpec(NamedTuple):
     opening_angle_theta: float
 
-    def __post_init__(self):
-        if not 0.0 < self.opening_angle_theta < 180.0:
+
+class TransducerSpec(_TransducerSpec):
+    """Multibeam transducer described by the full opening angle between outer beams."""
+
+    __slots__ = ()
+
+    def __new__(cls, opening_angle_theta: float):
+        if not 0.0 < opening_angle_theta < 180.0:
             raise ValueError(
-                f"opening angle must be in (0, 180) degrees, got {self.opening_angle_theta}"
+                f"opening angle must be in (0, 180) degrees, got {opening_angle_theta}"
             )
+        return super().__new__(cls, opening_angle_theta)
 
     @property
     def half_angle(self) -> float:
@@ -62,8 +70,7 @@ class TransducerSpec:
         return 0.5 * self.opening_angle_theta
 
 
-@dataclass(frozen=True)
-class SwathCrossSection:
+class SwathCrossSection(NamedTuple):
     """Across-track swath geometry at one ship fix.
 
     Extents are measured on the seabed (slope distances, m); the deep half is

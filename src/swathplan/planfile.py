@@ -6,8 +6,6 @@ digits so that rewriting a parsed file reproduces it byte for byte.
 
 from __future__ import annotations
 
-import json
-
 from .planner import LinePlacement, SurveyPlan, SurveyRegion
 
 PLAN_CSV_HEADER = "x_m,overlap_prev,width_m"
@@ -51,6 +49,8 @@ def write_plan_csv(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
 
 
 def write_plan_json(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
+    import json  # loaded only where a document is read or written
+
     doc = {
         "placements": [
             {
@@ -115,11 +115,15 @@ def _rows_from_csv(text: str) -> list[_Row]:
 def _json_float(value: object, key: str) -> float:
     # float() would also read true as 1.0 and the string " 76.6 " as 76.6
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        import json
+
         raise TypeError(f"{key} must be a number, got {json.dumps(value)}")
     return float(value)
 
 
 def _rows_from_json(text: str) -> list[_Row]:
+    import json
+
     try:
         doc = json.loads(text)
     except ValueError as err:  # JSONDecodeError, or an integer literal too long to convert

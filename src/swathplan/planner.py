@@ -15,8 +15,7 @@ until the contract holds exactly when checked through ``swath_at``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     NoFeasibleStartError,
@@ -33,55 +32,62 @@ METERS_PER_NAUTICAL_MILE = 1852.0  # by definition
 MAX_LINES = 1_000_000
 
 
-@dataclass(frozen=True)
-class SurveyRegion:
-    """Rectangular survey region. The deep side is the west edge by convention."""
-
+class _SurveyRegion(NamedTuple):
     width_ew: float  # east-west extent, m
     length_ns: float  # north-south extent, m
     center_depth: float  # depth at the region center, m
     slope_alpha: float  # east-west bed dip, deg
+    edge_offset_d1: float  # depth increase from the region center to the west edge, m
+    west_edge_depth: float  # m: depth(x) = west_edge_depth - x * tan(alpha)
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.width_ew, self.length_ns, self.center_depth))):
+
+class SurveyRegion(_SurveyRegion):
+    """Rectangular survey region. The deep side is the west edge by convention.
+
+    Built from its four extents; the two edge depths derive from them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, width_ew: float, length_ns: float, center_depth: float, slope_alpha: float):
+        if not all(map(math.isfinite, (width_ew, length_ns, center_depth))):
             raise ValueError("region extents and center depth must be finite")
-        if self.width_ew <= 0.0 or self.length_ns <= 0.0:
+        if width_ew <= 0.0 or length_ns <= 0.0:
             raise ValueError("region extents must be positive")
-        if self.center_depth <= 0.0:
-            raise ValueError(f"center depth must be positive, got {self.center_depth}")
-        if not 0.0 <= self.slope_alpha < 90.0:
-            raise ValueError(f"slope angle must be in [0, 90) degrees, got {self.slope_alpha}")
+        if center_depth <= 0.0:
+            raise ValueError(f"center depth must be positive, got {center_depth}")
+        if not 0.0 <= slope_alpha < 90.0:
+            raise ValueError(f"slope angle must be in [0, 90) degrees, got {slope_alpha}")
+        d1 = 0.5 * width_ew * math.tan(math.radians(slope_alpha))
+        return super().__new__(
+            cls, width_ew, length_ns, center_depth, slope_alpha, d1, center_depth + d1
+        )
 
-    @cached_property
-    def edge_offset_d1(self) -> float:
-        """Depth increase from the region center to the west edge, m."""
-        return 0.5 * self.width_ew * math.tan(math.radians(self.slope_alpha))
-
-    @cached_property
-    def west_edge_depth(self) -> float:
-        """Depth at the west edge, m: depth(x) = west_edge_depth - x * tan(alpha)."""
-        return self.center_depth + self.edge_offset_d1
+    def __getnewargs__(self):
+        """The four extents __new__ takes, so copy and pickle rebuild the region."""
+        return self[:4]
 
 
-@dataclass(frozen=True)
-class LinePlacement:
-    """One north-south survey line and the geometry recorded for reports."""
-
+class _LinePlacement(NamedTuple):
     x: float
     swath_width: float  # bed-measured total width, m
     overlap_with_previous: float | None  # None on the westmost line
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.swath_width)):
-            raise ValueError(f"line x and width must be finite, got {self.x}, {self.swath_width}")
-        if self.overlap_with_previous is not None and not (
-            0.0 < self.overlap_with_previous < 1.0
-        ):
-            raise ValueError(f"overlap must be in (0, 1), got {self.overlap_with_previous}")
+
+class LinePlacement(_LinePlacement):
+    """One north-south survey line and the geometry recorded for reports."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, swath_width: float, overlap_with_previous: float | None):
+        if not (math.isfinite(x) and math.isfinite(swath_width)):
+            raise ValueError(f"line x and width must be finite, got {x}, {swath_width}")
+        if overlap_with_previous is not None and not 0.0 < overlap_with_previous < 1.0:
+            raise ValueError(f"overlap must be in (0, 1), got {overlap_with_previous}")
+        return super().__new__(cls, x, swath_width, overlap_with_previous)
 
 
-@dataclass(frozen=True)
-class SurveyPlan:
+class SurveyPlan(NamedTuple):
     """Ordered west-to-east line placements plus track totals."""
 
     placements: tuple[LinePlacement, ...]

@@ -12,7 +12,7 @@ the cell count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BeamGrazeError, SurfacedSeabedError
 from .geometry import TransducerSpec
@@ -27,8 +27,7 @@ RATIO_SLACK = 0.005
 GRAZING_MARGIN_DEG = 1e-9  # the planner's, so the audit refuses the fans it refuses
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Raster coverage summary for one plan.
 
     Attributes
@@ -50,8 +49,7 @@ class CoverageReport:
     max_multiplicity: int
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of verify_plan: overall verdict plus human-readable findings."""
 
     passed: bool

@@ -81,6 +81,48 @@ def test_width_table_json(capsys):
     assert doc[1]["widths_m"]["0.5"] is None
 
 
+def _one_document(seabed, xdcr, headings, distances_nm):
+    """The JSON width table as one json.dumps(doc, indent=2) of every row."""
+    distances_m = [d * METERS_PER_NAUTICAL_MILE for d in distances_nm]
+    grid = width_table(seabed, xdcr, headings, distances_m)
+    doc = [
+        {
+            "heading_deg": heading,
+            "widths_m": {
+                f"{d:.6g}": None if w is None else float(f"{w:.6g}")
+                for d, w in zip(distances_nm, row)
+            },
+        }
+        for heading, row in zip(headings, grid)
+    ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# the reference 8 x 8 grid; a 45 deg bed whose 90 row grazes and whose
+# 1e306 NM column overflows; and a single heading
+JSON_GRIDS = {
+    "reference": (
+        [], 1.5, [45.0 * i for i in range(8)], [0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8, 2.1]
+    ),
+    "err-overflow": (["--alpha-deg", "45"], 45.0, [0.0, 10.0, 90.0, 180.0, 350.0],
+                     [0.0, 0.03, 0.1, -0.03, 0.2, 0.01, 0.5, 1e306]),
+    "one-heading": ([], 1.5, [30.0], [0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("grid", list(JSON_GRIDS))
+def test_width_table_json_is_one_document(grid, tmp_path, capsys):
+    flags, alpha, headings, distances = JSON_GRIDS[grid]
+    argv = ["width-table", "--format", "json", *flags,
+            "--headings-deg", ",".join(map(repr, headings)),
+            "--distances-nm", ",".join(map(repr, distances))]
+    expected = _one_document(PlanarSeabed(120.0, alpha), TransducerSpec(120.0), headings, distances)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert main([*argv, "--out", str(tmp_path / "grid.json")]) == 0
+    assert (tmp_path / "grid.json").read_text(encoding="utf-8") == expected
+
+
 def _no_constants(name):
     raise ValueError(f"not valid JSON: {name}")
 
@@ -215,6 +257,15 @@ def test_width_table_memory_stays_flat(tmp_path, cli_peak_rss_kib):
     code, kib = cli_peak_rss_kib("width-table", "--config", _big_grid(tmp_path))
     assert (floor_code, code) == (0, 0)
     # the whole grid and its text held at once come to about 22 MiB
+    assert kib - floor_kib <= 4 * 1024, (kib, floor_kib)
+
+
+def test_width_table_json_memory_stays_flat(tmp_path, cli_peak_rss_kib):
+    floor_code, floor_kib = cli_peak_rss_kib("width-table", "--help")
+    argv = ["width-table", "--config", _big_grid(tmp_path), "--format", "json"]
+    code, kib = cli_peak_rss_kib(*argv)
+    assert (floor_code, code) == (0, 0)
+    # the whole grid built as one document comes to over 80 MiB
     assert kib - floor_kib <= 4 * 1024, (kib, floor_kib)
 
 
@@ -623,19 +674,45 @@ def test_unconvertible_json_number_exits_2(argv, text, where, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_no_subcommand_loads_numpy(tmp_path):
+def _modules_loaded(*argv: str) -> set[str]:
+    """Top-level modules `python -m swathplan ARGV` imports once the interpreter is up."""
+    # -X importtime lists on stderr every module the process imports, each
+    # after the modules it imported; those up to `site` come with every launch
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "swathplan", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    if "site" in names:
+        names = names[names.index("site") + 1 :]
+    return {name.partition(".")[0] for name in names}
+
+
+# No launch needs numpy or the dataclass machinery. A plan or width table
+# from flags alone in CSV reads and writes no JSON document.
+NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy"}
+LAUNCH_IMPORTS = [
+    (["plan", "--out", "PLAN"], NEVER_LOADED | {"json"}),
+    (["plan", "--alpha-deg", "1.2", "--eta", "0.2"], NEVER_LOADED | {"json"}),
+    (["verify", "PLAN"], NEVER_LOADED),
+    (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], NEVER_LOADED | {"json"}),
+    (["plot-data"], NEVER_LOADED),
+]
+
+
+def test_launches_load_only_what_they_run(tmp_path):
     plan = str(tmp_path / "plan.csv")
-    for argv in (["plan", "--out", plan], ["verify", plan], ["width-table"], ["plot-data"]):
-        # -X importtime lists on stderr every module the process imports
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "swathplan", *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "swathplan.cli" in proc.stderr
-        assert "numpy" not in proc.stderr, argv
+    for argv, banned in LAUNCH_IMPORTS:
+        loaded = _modules_loaded(*[plan if arg == "PLAN" else arg for arg in argv])
+        assert "swathplan" in loaded, argv
+        assert not loaded & banned, (argv, sorted(loaded & banned))
 
 
 # ------------------------------------------------- flags and config file agree

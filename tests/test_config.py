@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
+from swathplan import config
 from swathplan.cli import _config_from_args, build_parser
 from swathplan.config import ConfigError, load_config
 
@@ -166,3 +168,28 @@ def test_overrides_are_validated():
         load_config(None, {"eta_target": 2.0})
     with pytest.raises(ConfigError):
         load_config(None, {"transducer": {"opening_angle_deg": 0.0}})
+
+
+def test_defaults_stay_pristine(tmp_path):
+    snapshot = copy.deepcopy(config.DEFAULTS)
+    reference = load_config(None)
+    every_key = {
+        "seabed": {"reference_depth_m": 90.0, "slope_alpha_deg": 2.0},
+        "transducer": {"opening_angle_deg": 100.0},
+        "region": {"width_ew_nm": 3.0, "length_ns_nm": 1.0, "center_depth_m": 95.0,
+                   "slope_alpha_deg": 2.0},
+        "eta_target": 0.2,
+        "eta_min": 0.15,
+        "eta_max": 0.3,
+        "headings_deg": [10.0, 20.0],
+        "distances_nm": [0.5],
+        "format": "json",
+        "precision": 4,
+    }
+    load_config(write_config(tmp_path, every_key))
+    flags = {**every_key, "seabed": {"reference_depth_m": 80.0}, "headings_deg": [5.0]}
+    load_config(write_config(tmp_path, every_key), flags)
+    with pytest.raises(ConfigError, match="unknown config key"):  # fails after a write
+        load_config(None, {"seabed": {"reference_depth_m": 70.0, "depth": 1.0}})
+    assert config.DEFAULTS == snapshot
+    assert load_config(None) == reference

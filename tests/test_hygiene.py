@@ -74,30 +74,50 @@ def test_every_import_is_used(module):
     assert _unused_imports(module.read_text(encoding="utf-8")) == []
 
 
-def _numpy_imports(source: str) -> list[int]:
-    """Line of every import of numpy or a numpy submodule, at any depth."""
+def _imports_of(source: str, banned: set[str]) -> list[int]:
+    """Line of every import, at any depth, of a banned module or one of its
+    submodules, or of a name given as "module.name" from its module."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names = [node.module or ""]
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name.partition(".")[0] == "numpy" for name in names):
+        if any(name == b or name.startswith(b + ".") for name in names for b in banned):
             lines.append(node.lineno)
     return lines
 
 
 def test_numpy_import_is_caught():
     source = "import math\n\ndef f():\n    import numpy.linalg as la\n    from numpy import dot\n"
-    assert _numpy_imports(source) == [4, 5]
-    assert _numpy_imports("from . import numpyish\nimport numpyish\n") == []
+    assert _imports_of(source, {"numpy"}) == [4, 5]
+    assert _imports_of("from . import numpyish\nimport numpyish\n", {"numpy"}) == []
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_numpy(module):
-    assert _numpy_imports(module.read_text(encoding="utf-8")) == []
+    assert _imports_of(module.read_text(encoding="utf-8"), {"numpy"}) == []
+
+
+# Each costs every launch milliseconds to import or to apply: the records
+# are named tuples, and load_config copies section dicts, not the document.
+SLOW_TO_START = {"dataclasses", "copy", "functools.cached_property"}
+
+
+def test_slow_import_is_caught():
+    source = (
+        "from dataclasses import dataclass\nimport copy as c\nimport copyreg\n"
+        "from functools import cached_property, partial\nfrom functools import partial\n"
+    )
+    assert _imports_of(source, SLOW_TO_START) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_copy(module):
+    assert _imports_of(module.read_text(encoding="utf-8"), SLOW_TO_START) == []
 
 
 def _unreferenced(sources: list[str]) -> list[str]:
