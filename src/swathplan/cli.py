@@ -131,6 +131,16 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     if cfg.format == "json":
         import json
 
+        # the printed distances key each row's widths, so no two may print alike
+        first_with: dict[str, float] = {}
+        for dist, label in zip(cfg.distances_nm, labels):
+            if label in first_with:
+                raise ConfigError(
+                    f"distances_nm {first_with[label]!r} and {dist!r} both print as "
+                    f"{label!r}, and JSON width keys must differ"
+                )
+            first_with[label] = dist
+
         def objects() -> Iterator[str]:
             # the text json.dumps(doc, indent=2) gives for the list of these
             # objects: each one indented a level, then joined by ",\n"

@@ -152,19 +152,6 @@ def swath_cross_section(depth: float, gamma_deg: float, xdcr: TransducerSpec) ->
     )
 
 
-def horizontal_footprint(
-    section: SwathCrossSection, cross_track_slope_deg: float
-) -> tuple[float, float]:
-    """Project the swath halves onto the horizontal: (proj_deep, proj_shallow).
-
-    Bed-measured extents shrink by cos(slope) when mapped to horizontal
-    across-track distance; the slope is passed explicitly because the
-    section does not know which component of the bed dip it crossed.
-    """
-    c = math.cos(math.radians(cross_track_slope_deg))
-    return section.half_deep * c, section.half_shallow * c
-
-
 def width_table(
     seabed: PlanarSeabed,
     xdcr: TransducerSpec,

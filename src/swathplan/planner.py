@@ -23,7 +23,7 @@ from .errors import (
     RegionExhaustedError,
     SurfacedSeabedError,
 )
-from .geometry import SwathCrossSection, TransducerSpec, horizontal_footprint, swath_cross_section
+from .geometry import SwathCrossSection, TransducerSpec, swath_cross_section
 
 METERS_PER_NAUTICAL_MILE = 1852.0  # by definition
 
@@ -134,24 +134,27 @@ def first_line_position(region: SurveyRegion, xdcr: TransducerSpec) -> float:
     Raises NoFeasibleStartError when x0 lies east of the region's east edge.
     """
     a = math.radians(region.slope_alpha)
-    k_proj = swath_cross_section(1.0, region.slope_alpha, xdcr).half_deep * math.cos(a)
+    ca = math.cos(a)
+    k_proj = swath_cross_section(1.0, region.slope_alpha, xdcr).half_deep * ca
     x = region.west_edge_depth * k_proj / (1.0 + k_proj * math.tan(a))
     if x > region.width_ew:
         raise NoFeasibleStartError(
             f"no feasible start: a line at x = {region.width_ew:.3f} m still reaches "
             "past the west boundary"
         )
-    while x - horizontal_footprint(swath_at(region, xdcr, x), region.slope_alpha)[0] > 0.0:
+    while x - swath_at(region, xdcr, x).half_deep * ca > 0.0:
         x = math.nextafter(x, -math.inf)
     return x
 
 
 def _line_count(
-    region: SurveyRegion, xdcr: TransducerSpec, eta_target: float, x0: float
+    region: SurveyRegion, unit: SwathCrossSection, free: float, x0: float
 ) -> int | float:
     """Lines plan_survey places from a first line at x0, in closed form.
 
-    With f = (1 - eta) * K and t = tan(alpha), each step scales the depth by
+    ``unit`` is the swath at unit depth (total width K) and ``free`` the
+    part (1 - eta) * K of it that the overlap target leaves unshared. With
+    f = free and t = tan(alpha), each step scales the depth by
     q = (1 - f*t/2) / (1 + f*t/2). Placement stops at the first depth at or
     below D_stop = D_E / (1 - k_sh * t), where the shallow edge k_sh * D
     east of the line reaches the east boundary (D_E: the depth there). From
@@ -164,8 +167,6 @@ def _line_count(
     """
     a = math.radians(region.slope_alpha)
     ta = math.tan(a)
-    unit = swath_cross_section(1.0, region.slope_alpha, xdcr)
-    free = (1.0 - eta_target) * unit.total_width
     d0 = depth_at_x(region, x0)
     gap = region.width_ew - x0 - unit.half_shallow * math.cos(a) * d0
     if gap <= 0.0 or 0.5 * free * ta >= 1.0:
@@ -194,7 +195,8 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     """
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    ta = math.tan(math.radians(region.slope_alpha))
+    a = math.radians(region.slope_alpha)
+    ta, ca = math.tan(a), math.cos(a)
     if ta > 0.0 and region.west_edge_depth / ta <= region.width_ew:
         # A bed surfacing inside the region can never satisfy the east
         # boundary termination: widths decay geometrically toward the
@@ -205,20 +207,19 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         )
     placements: list[LinePlacement] = []
     try:
+        unit = swath_cross_section(1.0, region.slope_alpha, xdcr)
         # the part of the unit-depth width K that the target leaves unshared
-        free = (1.0 - eta_target) * swath_cross_section(1.0, region.slope_alpha, xdcr).total_width
+        free = (1.0 - eta_target) * unit.total_width
         x = first_line_position(region, xdcr)
-        if (count := _line_count(region, xdcr, eta_target, x)) > MAX_LINES:
+        if (count := _line_count(region, unit, free, x)) > MAX_LINES:
             raise PlanningError(
                 f"too many lines: the plan needs {float(count):.4g} lines, "
                 f"more than the {MAX_LINES:,} allowed"
             )
         section = swath_at(region, xdcr, x)
         placements.append(LinePlacement(x, section.total_width, None))
-        while True:
-            _, proj_shallow = horizontal_footprint(section, region.slope_alpha)
-            if x + proj_shallow >= region.width_ew:
-                break
+        # until a line's horizontal shallow edge reaches the east boundary
+        while x + section.half_shallow * ca < region.width_ew:
             # With width K * depth and depth falling by tan(alpha) per meter,
             # the overlap 1 - step / w_mean is linear in the step:
             #

@@ -82,7 +82,7 @@ def rasterize_coverage(
     plan: SurveyPlan,
     region: SurveyRegion,
     xdcr: TransducerSpec,
-    resolution: float = DEFAULT_RESOLUTION_M,
+    resolution: float | None = None,
 ) -> CoverageReport:
     """Measure coverage of a plan on a raster of cell centers.
 
@@ -90,15 +90,27 @@ def rasterize_coverage(
     horizontal footprint, derived here from the region and the fan rather
     than trusted from the plan. An empty plan yields one uncovered interval
     spanning the whole region.
+
+    The raster resolution defaults to the finest of DEFAULT_RESOLUTION_M, a
+    hundredth of the region width (the coarsest the raster accepts) and
+    RATIO_SLACK / 2 of the narrowest footprint. A pair's rasterized shared
+    extent is off by under one cell, so that last bound keeps each ratio's
+    raster error within half the slack for any footprint wider than
+    400 * 2**-52 of the region width.
     """
     # at most 2**52 cells keeps every cell index an exact double; NaN fails too
     finest, coarsest = region.width_ew * 2.0**-52, region.width_ew / 100.0
-    if not finest <= resolution <= coarsest:
+    if resolution is not None and not finest <= resolution <= coarsest:
         raise ValueError(
             f"resolution must be in [{finest:g}, {coarsest:g}] m, got {resolution:g}"
         )
     xs = [p.x for p in plan.placements]
     depths, _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
+    if resolution is None:
+        narrowest = min(depths, default=math.inf) * (reach_deep + reach_shallow)
+        resolution = max(
+            min(DEFAULT_RESOLUTION_M, coarsest, 0.5 * RATIO_SLACK * narrowest), finest
+        )
     n_cells = int(math.ceil(region.width_ew / resolution))
     # cell i's center is (i + 0.5) * resolution and the centers ascend, so
     # the cells with lo <= center <= hi are the index range [first, stop)
@@ -166,7 +178,6 @@ def verify_plan(
     xdcr: TransducerSpec,
     eta_min: float,
     eta_max: float,
-    resolution: float | None = None,
 ) -> VerificationResult:
     """Pass/fail coverage audit of a plan.
 
@@ -176,25 +187,10 @@ def verify_plan(
     shape: on a sloped bed they must not grow eastward, on a flat bed they
     must all be equal. A plan file rounds widths to its printed digits, and
     rounding is monotone, so neighbours on a gentle slope may print equal
-    widths but never growing ones.
-
-    The raster resolution defaults to the finest of DEFAULT_RESOLUTION_M, a
-    hundredth of the region width (the coarsest the raster accepts) and
-    RATIO_SLACK / 2 of the narrowest footprint. A pair's rasterized shared
-    extent is off by under one cell, so that last bound keeps each ratio's
-    raster error within half the slack for any footprint wider than
-    400 * 2**-52 of the region width.
+    widths but never growing ones. The raster uses rasterize_coverage's
+    default cell.
     """
-    if resolution is None:
-        resolution = min(DEFAULT_RESOLUTION_M, region.width_ew / 100.0)
-        xs = [p.x for p in plan.placements]
-        depths, _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
-        narrowest = min(depths, default=math.inf) * (reach_deep + reach_shallow)
-        # at most 2**52 cells, so every cell index stays an exact double
-        resolution = max(
-            min(resolution, 0.5 * RATIO_SLACK * narrowest), region.width_ew * 2.0**-52
-        )
-    report = rasterize_coverage(plan, region, xdcr, resolution)
+    report = rasterize_coverage(plan, region, xdcr)
     findings = []
     for lo, hi in report.uncovered_intervals:
         findings.append(f"uncovered interval [{lo:.3f}, {hi:.3f}] m")

@@ -123,6 +123,32 @@ def test_width_table_json_is_one_document(grid, tmp_path, capsys):
     assert (tmp_path / "grid.json").read_text(encoding="utf-8") == expected
 
 
+def test_width_table_json_refuses_distances_that_print_alike(tmp_path, capsys):
+    # the printed distances key each row's widths: alike labels would collapse
+    argv = ["width-table", "--headings-deg", "0", "--distances-nm", "0,0,1.0000001,1.0000002"]
+    out = tmp_path / "grid.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: distances_nm 0.0 and 0.0 both print as '0', and JSON width keys must differ\n"
+    )
+    assert not out.exists()
+    # CSV has no keys and prints every cell
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "heading_deg,0,0,1,1"
+    # from a file, at the precision the file sets
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps({"distances_nm": [0.5, 1.001, 1.002], "precision": 2, "format": "json"}),
+        encoding="utf-8",
+    )
+    assert main(["width-table", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: distances_nm 1.001 and 1.002 both print as '1', and JSON width keys must differ\n"
+    )
+
+
 def _no_constants(name):
     raise ValueError(f"not valid JSON: {name}")
 

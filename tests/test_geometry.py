@@ -10,10 +10,8 @@ import pytest
 from swathplan.errors import BeamGrazeError, InvalidDepthError
 from swathplan.geometry import (
     PlanarSeabed,
-    SwathCrossSection,
     TransducerSpec,
     effective_slope,
-    horizontal_footprint,
     swath_cross_section,
     width_table,
 )
@@ -151,20 +149,6 @@ def test_cross_section_rejects_grazing_beam(xdcr):
         swath_cross_section(100.0, 30.0 - 1e-12, xdcr)
     section = swath_cross_section(100.0, 29.9, xdcr)
     assert section.half_deep > 100.0 * 49.0  # near-grazing blows up the deep half
-
-
-def test_horizontal_footprint_projects_by_cosine():
-    section = SwathCrossSection(
-        local_depth=200.0,
-        half_deep=358.66,
-        half_shallow=21.97,
-        total_width=380.63,
-    )
-    proj_deep, proj_shallow = horizontal_footprint(section, 1.5)
-    assert proj_deep == pytest.approx(358.5370961757334, rel=1e-12)
-    assert proj_shallow == pytest.approx(21.96247142971299, rel=1e-12)
-    # zero slope projects one-to-one
-    assert horizontal_footprint(section, 0.0) == (358.66, 21.97)
 
 
 def test_width_table_layout(seabed, xdcr):

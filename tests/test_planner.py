@@ -15,7 +15,7 @@ from swathplan.errors import (
     SurfacedSeabedError,
 )
 from swathplan import planner
-from swathplan.geometry import TransducerSpec, horizontal_footprint, swath_cross_section
+from swathplan.geometry import TransducerSpec, swath_cross_section
 from swathplan.planner import (
     SurveyRegion,
     _line_count,
@@ -72,7 +72,7 @@ def test_first_line_position_default(region, xdcr):
     x1 = first_line_position(region, xdcr)
     assert x1 == pytest.approx(358.52179264210827, abs=1e-6)
     # deep edge pinned to the west boundary, never short of it
-    proj_deep, _ = horizontal_footprint(swath_at(region, xdcr, x1), region.slope_alpha)
+    proj_deep = swath_at(region, xdcr, x1).half_deep * math.cos(math.radians(region.slope_alpha))
     assert 0.0 <= proj_deep - x1 < 1e-6
 
 
@@ -173,15 +173,14 @@ def test_plan_survey_default_scenario(reference_plan, region):
 
 def test_plan_survey_covers_the_region(reference_plan, region, xdcr):
     first, last = reference_plan.placements[0], reference_plan.placements[-1]
-    proj_deep, _ = horizontal_footprint(swath_at(region, xdcr, first.x), region.slope_alpha)
+    ca = math.cos(math.radians(region.slope_alpha))
+    proj_deep = swath_at(region, xdcr, first.x).half_deep * ca
     assert first.x - proj_deep <= 0.0  # west edge reached
-    _, proj_shallow = horizontal_footprint(swath_at(region, xdcr, last.x), region.slope_alpha)
+    proj_shallow = swath_at(region, xdcr, last.x).half_shallow * ca
     assert last.x + proj_shallow >= region.width_ew  # east edge reached
     # no line east of the last is needed: the previous one fell short
     second_last = reference_plan.placements[-2]
-    _, prev_shallow = horizontal_footprint(
-        swath_at(region, xdcr, second_last.x), region.slope_alpha
-    )
+    prev_shallow = swath_at(region, xdcr, second_last.x).half_shallow * ca
     assert second_last.x + prev_shallow < region.width_ew
 
 
@@ -278,9 +277,11 @@ def test_placement_contract_over_the_envelope():
             continue  # grazing beam, no feasible start or a bed too steep for eta
         planned += 1
         first = plan.placements[0]
-        proj_deep, _ = horizontal_footprint(swath_at(region, fan, first.x), alpha)
+        proj_deep = swath_at(region, fan, first.x).half_deep * math.cos(math.radians(alpha))
         assert first.x - proj_deep <= 0.0, (alpha, theta, eta)
-        assert _line_count(region, fan, eta, first.x) == plan.line_count, (alpha, theta, eta)
+        unit = swath_cross_section(1.0, alpha, fan)
+        free = (1.0 - eta) * unit.total_width
+        assert _line_count(region, unit, free, first.x) == plan.line_count, (alpha, theta, eta)
         for west, east in zip(plan.placements, plan.placements[1:]):
             w_mean = 0.5 * (
                 swath_at(region, fan, west.x).total_width

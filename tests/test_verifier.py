@@ -342,6 +342,27 @@ def test_verify_default_plan_passes(reference_plan, region, xdcr):
     assert result.report.resolution == 0.1
 
 
+def test_rasterize_default_cell_is_the_audit_cell(xdcr):
+    # 5 m under a flat bed the footprints are 17.3 m wide, so the cell is
+    # RATIO_SLACK / 2 of that, finer than 0.1 m
+    region = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=5.0, slope_alpha=0.0)
+    plan = plan_survey(region, xdcr, 0.10)
+    report = rasterize_coverage(plan, region, xdcr)
+    assert report.resolution == pytest.approx(0.0433, abs=1e-4)
+    assert verify_plan(plan, region, xdcr, 0.10, 0.20).report.resolution == report.resolution
+
+
+def test_rasterize_default_cell_fits_a_narrow_region(xdcr):
+    # 5 m wide: 0.1 m would be coarser than the hundredth of the width the
+    # raster accepts, so the default cell is that hundredth
+    region = SurveyRegion(width_ew=5.0, length_ns=100.0, center_depth=100.0, slope_alpha=0.0)
+    line = LinePlacement(x=2.5, swath_width=346.4, overlap_with_previous=None)
+    report = rasterize_coverage(_plan_of([line], region), region, xdcr)
+    assert report.resolution == 0.05
+    assert report.uncovered_intervals == ()
+    assert report.max_multiplicity == 1
+
+
 def test_verify_detects_deleted_line(reference_plan, region, xdcr):
     kept = list(reference_plan.placements)
     removed = kept.pop(16)  # drop line 17
