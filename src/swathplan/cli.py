@@ -17,15 +17,16 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .errors import PlanningError
 from .geometry import width_table
 from .planfile import (
-    MAX_SIG_DIGITS,
+    NonFiniteOutputError,
     PlanParseError,
     format_sig,
     plan_summary,
     read_plan,
+    sig_spec,
     write_plan_csv,
     write_plan_json,
 )
-from .planner import METERS_PER_NAUTICAL_MILE, depth_at_x, plan_survey
+from .planner import METERS_PER_NAUTICAL_MILE, plan_survey
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -129,8 +130,6 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     sig = cfg.precision
     labels = [format_sig(d, sig) for d in cfg.distances_nm]
     if cfg.format == "json":
-        import json
-
         # the printed distances key each row's widths, so no two may print alike
         first_with: dict[str, float] = {}
         for dist, label in zip(cfg.distances_nm, labels):
@@ -140,23 +139,12 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
                     f"{label!r}, and JSON width keys must differ"
                 )
             first_with[label] = dist
+        from .jsonwriter import width_rows_json  # only JSON output compiles the templates
 
-        def objects() -> Iterator[str]:
-            # the text json.dumps(doc, indent=2) gives for the list of these
-            # objects: each one indented a level, then joined by ",\n"
-            for i, (heading, row) in enumerate(rows):
-                widths = {
-                    label: (None if w is None else float(format_sig(w, sig)))
-                    for label, w in zip(labels, row)
-                }
-                text = json.dumps({"heading_deg": heading, "widths_m": widths}, indent=2)
-                yield ("[\n  " if i == 0 else ",\n  ") + text.replace("\n", "\n  ")
-            yield "\n]\n"
-
-        _emit(objects(), args.out)
+        _emit(width_rows_json(rows, labels, sig), args.out)
     else:
         # one % operation per row; "%.{sig}g" prints what format_sig prints
-        spec = f"%.{min(sig, MAX_SIG_DIGITS)}g"
+        spec = sig_spec(sig)
         full_row = ",".join([spec] * len(labels))
 
         def lines() -> Iterator[str]:
@@ -217,33 +205,10 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 
 def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Emit region and plan geometry as JSON for external plotting; renders nothing."""
-    import json
+    from .jsonwriter import plot_data_json
 
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
-    sig = cfg.precision
-
-    def num(v: float) -> float:
-        return float(format_sig(v, sig))
-
-    w, length = cfg.region.width_ew, cfg.region.length_ns
-    corners_xy = [(0.0, 0.0), (w, 0.0), (w, length), (0.0, length)]
-    doc = {
-        "region": {"width_ew_m": num(w), "length_ns_m": num(length)},
-        "sea_surface_corners": [[num(x), num(y), 0.0] for x, y in corners_xy],
-        "seabed_corners": [
-            [num(x), num(y), num(-depth_at_x(cfg.region, x))] for x, y in corners_xy
-        ],
-        "survey_lines": [
-            {
-                "line": i + 1,
-                "x_m": num(p.x),
-                "start": [num(p.x), 0.0, 0.0],
-                "end": [num(p.x), num(length), 0.0],
-            }
-            for i, p in enumerate(plan.placements)
-        ],
-    }
-    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
+    _emit([plot_data_json(cfg.region, plan, cfg.precision)], args.out)
     return 0
 
 
@@ -270,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args, cfg)
         sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
         return code
-    except (ConfigError, PlanParseError, OSError) as err:
+    except (ConfigError, PlanParseError, NonFiniteOutputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         _drop_unwritable_stdout()
         return 2

@@ -1,10 +1,14 @@
 """Plan file serialization: three-column CSV or a JSON document.
 
 Both formats round numeric text to a configured number of significant
-digits so that rewriting a parsed file reproduces it byte for byte.
+digits so that rewriting a parsed file reproduces it byte for byte. The JSON
+text comes from the fixed templates in ``jsonwriter``.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Iterable
 
 from .planner import LinePlacement, SurveyPlan, SurveyRegion
 
@@ -19,14 +23,35 @@ class PlanParseError(ValueError):
     """Plan file rejected: wrong shape, header or field values."""
 
 
+class NonFiniteOutputError(ValueError):
+    """A number the output would print does not read back as a finite float."""
+
+
+def sig_spec(sig: int) -> str:
+    """The %-format that prints a number to ``sig`` significant digits (plain %g)."""
+    return f"%.{min(sig, MAX_SIG_DIGITS)}g"
+
+
 def format_sig(value: float, sig: int) -> str:
     """Significant-digit text for lengths and depths (plain %g notation)."""
     return f"{value:.{min(sig, MAX_SIG_DIGITS)}g}"
 
 
-def format_ratio(value: float) -> str:
-    """Overlap ratios keep a fixed five decimals."""
-    return f"{value:.{RATIO_DECIMALS}f}"
+def require_finite_output(fields: Iterable[tuple[str, float]], sig: int) -> None:
+    """Refuse any (name, value) whose text at ``sig`` digits reads back as inf or nan.
+
+    A value near the largest double can round up past it ("2e+308" at one
+    digit), and JSON has no text for infinity. Rounding is monotone, so a
+    column is checked by its least and greatest value alone.
+    """
+    spec = sig_spec(sig)
+    for name, value in fields:
+        text = spec % value
+        if not math.isfinite(float(text)):
+            raise NonFiniteOutputError(
+                f"{name} does not print as a finite number: "
+                f"{value!r} at precision {sig} prints as {text!r}"
+            )
 
 
 def plan_summary(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> dict[str, str]:
@@ -38,38 +63,48 @@ def plan_summary(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> dict[str,
     }
 
 
+def _require_finite_plan(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> None:
+    fields = [
+        ("total_track_nm", plan.total_track_length),
+        ("line_length_m", plan.line_length),
+        ("d1_m", edge_offset_d1),
+    ]
+    if plan.placements:
+        xs, widths, _ = zip(*plan.placements)
+        fields += [("x_m", min(xs)), ("x_m", max(xs))]
+        fields += [("width_m", min(widths)), ("width_m", max(widths))]
+    require_finite_output(fields, sig)
+
+
 def write_plan_csv(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
-    lines = [PLAN_CSV_HEADER]
-    for p in plan.placements:
-        overlap = "" if p.overlap_with_previous is None else format_ratio(p.overlap_with_previous)
-        lines.append(f"{format_sig(p.x, sig)},{overlap},{format_sig(p.swath_width, sig)}")
+    """The plan as CSV rows plus a ``# summary:`` line.
+
+    Raises NonFiniteOutputError when a number would print as one that reads
+    back as inf or nan.
+    """
+    _require_finite_plan(plan, edge_offset_d1, sig)
+    spec = sig_spec(sig)
+    first = f"{spec},,{spec}\n"  # no overlap on the westmost line
+    row = f"{spec},%.{RATIO_DECIMALS}f,{spec}\n"
+    rows = [
+        first % (x, width) if overlap is None else row % (x, overlap, width)
+        for x, width, overlap in plan.placements
+    ]
     summary = plan_summary(plan, edge_offset_d1, sig)
-    lines.append("# summary: " + " ".join(f"{k}={v}" for k, v in summary.items()))
-    return "\n".join(lines) + "\n"
+    tail = "# summary: " + " ".join(f"{k}={v}" for k, v in summary.items()) + "\n"
+    return PLAN_CSV_HEADER + "\n" + "".join(rows) + tail
 
 
 def write_plan_json(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
-    import json  # loaded only where a document is read or written
+    """The plan as a JSON document: ``placements`` rows and a ``summary`` object.
 
-    doc = {
-        "placements": [
-            {
-                "x_m": float(format_sig(p.x, sig)),
-                "overlap_prev": None
-                if p.overlap_with_previous is None
-                else round(p.overlap_with_previous, RATIO_DECIMALS),
-                "width_m": float(format_sig(p.swath_width, sig)),
-            }
-            for p in plan.placements
-        ],
-        "summary": {
-            "line_count": plan.line_count,
-            "total_track_nm": float(format_sig(plan.total_track_length, sig)),
-            "line_length_m": float(format_sig(plan.line_length, sig)),
-            "d1_m": float(format_sig(edge_offset_d1, sig)),
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    Raises NonFiniteOutputError when a number would print as one that reads
+    back as inf or nan.
+    """
+    from .jsonwriter import plan_json  # only JSON output compiles the templates
+
+    _require_finite_plan(plan, edge_offset_d1, sig)
+    return plan_json(plan, edge_offset_d1, sig)
 
 
 def _parse_float(text: str, where: str) -> float:

@@ -1,9 +1,12 @@
-"""Numpy reference oracles for the closed forms the package computes.
+"""Reference oracles for what the package computes and prints.
 
-Neither is called by the package: ``effective_slope_numeric`` builds the
+None is called by the package. ``effective_slope_numeric`` builds the
 cross-track slope from explicit vectors, and ``brute_force_next_line``
-grid-scans the next line's position on the audit's own footprints. The
-tests hold the library to both.
+grid-scans the next line's position on the audit's own footprints; both use
+numpy. The document builders below are the writers the package had before it
+wrote JSON from fixed templates: each returns the document (or, for CSV, the
+text) that ``json.dumps(doc, indent=2)`` turned into output. The tests hold
+the library to all of them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import numpy as np
 
 from swathplan.geometry import TransducerSpec, _check_angles
-from swathplan.planner import SurveyRegion
+from swathplan.planner import SurveyPlan, SurveyRegion, depth_at_x
 from swathplan.verifier import _depths_and_reaches
 
 
@@ -81,3 +84,82 @@ def brute_force_next_line(
     # etas fall with x, so the last ascending hit is the first one met
     # when walking down from the far end
     return float(xs[hits[-1]])
+
+
+def _num(value: float, sig: int) -> float:
+    return float(f"{value:.{min(sig, 767)}g}")
+
+
+def plan_json_document(plan: SurveyPlan, d1: float, sig: int) -> dict:
+    """The document ``write_plan_json`` prints."""
+    return {
+        "placements": [
+            {
+                "x_m": _num(p.x, sig),
+                "overlap_prev": None
+                if p.overlap_with_previous is None
+                else round(p.overlap_with_previous, 5),
+                "width_m": _num(p.swath_width, sig),
+            }
+            for p in plan.placements
+        ],
+        "summary": {
+            "line_count": plan.line_count,
+            "total_track_nm": _num(plan.total_track_length, sig),
+            "line_length_m": _num(plan.line_length, sig),
+            "d1_m": _num(d1, sig),
+        },
+    }
+
+
+def plan_csv_text(plan: SurveyPlan, d1: float, sig: int) -> str:
+    """The text ``write_plan_csv`` prints, three format calls per row."""
+    spec = f".{min(sig, 767)}g"
+    lines = ["x_m,overlap_prev,width_m"]
+    for p in plan.placements:
+        overlap = "" if p.overlap_with_previous is None else f"{p.overlap_with_previous:.5f}"
+        lines.append(f"{p.x:{spec}},{overlap},{p.swath_width:{spec}}")
+    summary = {
+        "lines": str(plan.line_count),
+        "total_track_nm": f"{plan.total_track_length:{spec}}",
+        "line_length_m": f"{plan.line_length:{spec}}",
+        "d1_m": f"{d1:{spec}}",
+    }
+    lines.append("# summary: " + " ".join(f"{k}={v}" for k, v in summary.items()))
+    return "\n".join(lines) + "\n"
+
+
+def plot_data_document(region: SurveyRegion, plan: SurveyPlan, sig: int) -> dict:
+    """The document ``plot-data`` prints."""
+    w, length = region.width_ew, region.length_ns
+    corners_xy = [(0.0, 0.0), (w, 0.0), (w, length), (0.0, length)]
+    return {
+        "region": {"width_ew_m": _num(w, sig), "length_ns_m": _num(length, sig)},
+        "sea_surface_corners": [[_num(x, sig), _num(y, sig), 0.0] for x, y in corners_xy],
+        "seabed_corners": [
+            [_num(x, sig), _num(y, sig), _num(-depth_at_x(region, x), sig)]
+            for x, y in corners_xy
+        ],
+        "survey_lines": [
+            {
+                "line": i + 1,
+                "x_m": _num(p.x, sig),
+                "start": [_num(p.x, sig), 0.0, 0.0],
+                "end": [_num(p.x, sig), _num(length, sig), 0.0],
+            }
+            for i, p in enumerate(plan.placements)
+        ],
+    }
+
+
+def width_rows_document(rows: list, labels: list[str], sig: int) -> list[dict]:
+    """The document JSON ``width-table`` prints for (heading, widths) rows."""
+    return [
+        {
+            "heading_deg": heading,
+            "widths_m": {
+                label: None if w is None else _num(w, sig) for label, w in zip(labels, row)
+            },
+        }
+        for heading, row in rows
+    ]

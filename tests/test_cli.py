@@ -608,6 +608,35 @@ def test_non_finite_input_exits_2(argv, tmp_path):
     assert proc.stdout == ""
 
 
+# configs whose numbers print past the float range, and the field each
+# command names: plan's first unprintable number is the total track
+NON_FINITE_OUTPUT = [
+    # 9.6e304 NM is 1.778e308 m, which rounds to 2e+308 at one digit
+    ({"precision": 1, "region": {"length_ns_nm": 9.6e304}}, "total_track_nm", "length_ns_m"),
+    # 34 lines of 1.667e308 m sum past the largest double; plot-data prints
+    # no total, and 1.6668e+308 is finite
+    ({"region": {"length_ns_nm": 9e304}}, "total_track_nm", None),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["plan", "plot-data"])
+@pytest.mark.parametrize("doc, plan_field, plot_field", NON_FINITE_OUTPUT)
+def test_output_that_prints_non_finite_exits_2(command, fmt, doc, plan_field, plot_field, tmp_path):
+    field = plan_field if command == "plan" else plot_field
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({**doc, "format": fmt}), encoding="utf-8")
+    proc = run_cli(command, "--config", str(cfg), timeout=60)
+    if field is None:
+        assert proc.returncode == 0, proc.stderr
+        assert "Infinity" not in proc.stdout
+        return
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {field} does not print as a finite number")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_non_finite_config_exits_2(tmp_path):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"region": {"center_depth_m": NaN}}', encoding="utf-8")
@@ -721,15 +750,17 @@ def _modules_loaded(*argv: str) -> set[str]:
     return {name.partition(".")[0] for name in names}
 
 
-# No launch needs numpy or the dataclass machinery. A plan or width table
-# from flags alone in CSV reads and writes no JSON document.
+# No launch needs numpy or the dataclass machinery. A launch from flags alone
+# reads no JSON document, and every writer prints JSON from fixed templates.
 NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy"}
 LAUNCH_IMPORTS = [
     (["plan", "--out", "PLAN"], NEVER_LOADED | {"json"}),
     (["plan", "--alpha-deg", "1.2", "--eta", "0.2"], NEVER_LOADED | {"json"}),
+    (["plan", "--format", "json"], NEVER_LOADED | {"json"}),
     (["verify", "PLAN"], NEVER_LOADED),
     (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], NEVER_LOADED | {"json"}),
-    (["plot-data"], NEVER_LOADED),
+    (["width-table", "--format", "json"], NEVER_LOADED | {"json"}),
+    (["plot-data"], NEVER_LOADED | {"json"}),
 ]
 
 

@@ -1,0 +1,155 @@
+"""The template writers print what ``json.dumps(doc, indent=2)`` printed.
+
+Each writer is held, over drawn scenarios and hand-built plans, to the
+document builder it replaced (``oracles.py``): JSON output must equal the
+indented dump of that document byte for byte, and CSV output the text of
+the three-call-per-row writer.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    plan_csv_text,
+    plan_json_document,
+    plot_data_document,
+    width_rows_document,
+)
+
+from swathplan.errors import PlanningError
+from swathplan.geometry import TransducerSpec, swath_cross_section
+from swathplan.jsonwriter import plot_data_json, width_rows_json
+from swathplan.planfile import (
+    NonFiniteOutputError,
+    format_sig,
+    write_plan_csv,
+    write_plan_json,
+)
+from swathplan.planner import (
+    METERS_PER_NAUTICAL_MILE,
+    LinePlacement,
+    SurveyPlan,
+    SurveyRegion,
+    _line_count,
+    first_line_position,
+    plan_survey,
+)
+
+PRECISIONS = st.one_of(st.integers(1, 17), st.just(767))
+# drawn plans stay below this many lines, by the planner's closed-form count
+LINE_CAP = 30_000
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@st.composite
+def scenarios(draw):
+    """(region, plan) for α 0-20°, η 0.05-0.99, 0.01-200 NM sides and 1-4,000 m depths."""
+    width = draw(st.floats(0.01, 200.0)) * METERS_PER_NAUTICAL_MILE
+    length = draw(st.floats(0.01, 200.0)) * METERS_PER_NAUTICAL_MILE
+    depth = draw(st.floats(1.0, 4000.0))
+    # steeper than this, the bed surfaces inside the region and nothing plans
+    alpha_max = min(20.0, math.degrees(math.atan(2.0 * depth / width)))
+    alpha = draw(st.floats(0.0, alpha_max, exclude_max=True))
+    eta = draw(st.floats(0.05, 0.99))
+    xdcr = TransducerSpec(draw(st.floats(30.0, 150.0)))
+    region = SurveyRegion(width, length, depth, alpha)
+    try:
+        unit = swath_cross_section(1.0, alpha, xdcr)
+        free = (1.0 - eta) * unit.total_width
+        assume(_line_count(region, unit, free, first_line_position(region, xdcr)) <= LINE_CAP)
+        return region, plan_survey(region, xdcr, eta)
+    except PlanningError:
+        assume(False)
+
+
+FINITE = st.floats(-1e300, 1e300, allow_nan=False)
+# None, -0.0, subnormals, 1e300 and ints beside floats, in any order
+PLACEMENTS = st.lists(
+    st.builds(
+        LinePlacement,
+        st.one_of(FINITE, st.integers(-(10**6), 10**6)),
+        st.one_of(FINITE, st.just(-0.0), st.just(5e-324)),
+        st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    ),
+    max_size=8,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(scenarios(), PRECISIONS)
+def test_plan_writers_match_the_document_writers(scenario, sig):
+    region, plan = scenario
+    d1 = region.edge_offset_d1
+    assert write_plan_json(plan, d1, sig) == _dump(plan_json_document(plan, d1, sig))
+    assert write_plan_csv(plan, d1, sig) == plan_csv_text(plan, d1, sig)
+
+
+@settings(deadline=None, max_examples=60)
+@given(scenarios(), PRECISIONS)
+def test_plot_data_matches_the_document_writer(scenario, sig):
+    region, plan = scenario
+    assert plot_data_json(region, plan, sig) == _dump(plot_data_document(region, plan, sig))
+
+
+@settings(deadline=None)
+@given(PLACEMENTS, st.floats(1e-3, 1e300), FINITE, PRECISIONS)
+def test_plan_writers_match_on_hand_built_plans(placements, length, d1, sig):
+    plan = SurveyPlan(tuple(placements), length)
+    assume(math.isfinite(plan.total_track_length))
+    assert write_plan_json(plan, d1, sig) == _dump(plan_json_document(plan, d1, sig))
+    assert write_plan_csv(plan, d1, sig) == plan_csv_text(plan, d1, sig)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 360.0, exclude_max=True),
+            st.lists(st.one_of(st.none(), st.floats(0.0, 1e300)), min_size=12, max_size=12),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.floats(-1e6, 1e6), max_size=12),
+    PRECISIONS,
+)
+def test_width_rows_match_the_document_writer(rows, distances, sig):
+    # an empty distance list prints each row's widths as {}; None is an ERR cell
+    labels = [format_sig(d, sig) for d in distances]
+    assume(len(set(labels)) == len(labels))
+    rows = [(heading, row[: len(labels)]) for heading, row in rows]
+    text = "".join(width_rows_json(rows, labels, sig))
+    assert text == _dump(width_rows_document(rows, labels, sig))
+
+
+def test_width_that_prints_past_the_float_range_is_null():
+    # 1.7e308 rounds to "2e+308" at one digit, which JSON cannot hold
+    text = "".join(width_rows_json([(90.0, [1.7e308, 1.0])], ["0", "1"], 1))
+    assert json.loads(text) == [{"heading_deg": 90.0, "widths_m": {"0": None, "1": 1.0}}]
+
+
+@pytest.mark.parametrize("writer", [write_plan_csv, write_plan_json])
+@pytest.mark.parametrize(
+    "lines, length, sig, field",
+    [
+        # two lines of 1.7e308 m sum past the largest double
+        ([(100.0, 50.0), (200.0, 50.0)], 1.7e308, 6, "total_track_nm"),
+        # numbers that round past the largest double at one digit
+        ([(100.0, 50.0)], 1.7e308, 1, "line_length_m"),
+        ([(1.7e308, 50.0)], 1.0, 1, "x_m"),
+        ([(-1.7e308, 50.0)], 1.0, 1, "x_m"),
+        ([(1.0, 1.7e308)], 1.0, 1, "width_m"),
+    ],
+)
+def test_plan_writers_refuse_numbers_that_print_non_finite(writer, lines, length, sig, field):
+    plan = SurveyPlan(tuple(LinePlacement(x, width, None) for x, width in lines), length)
+    with pytest.raises(NonFiniteOutputError, match=f"^{field} "):
+        writer(plan, 1.0, sig)

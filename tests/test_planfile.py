@@ -9,13 +9,13 @@ import pytest
 from swathplan.planfile import (
     PLAN_CSV_HEADER,
     PlanParseError,
-    format_ratio,
     format_sig,
     plan_summary,
     read_plan,
     write_plan_csv,
     write_plan_json,
 )
+from swathplan.planner import LinePlacement, SurveyPlan
 
 
 def test_format_sig_trims_to_significant_digits():
@@ -24,10 +24,11 @@ def test_format_sig_trims_to_significant_digits():
     assert format_sig(0.10000019, 6) == "0.1"
 
 
-def test_format_ratio_is_fixed_point():
-    assert format_ratio(0.1) == "0.10000"
-    assert format_ratio(0.10000019) == "0.10000"
-    assert format_ratio(0.12345678) == "0.12346"
+def test_csv_ratio_is_fixed_point(region):
+    ratios = [0.1, 0.10000019, 0.12345678]
+    placements = [LinePlacement(100.0 * (i + 1), 50.0, r) for i, r in enumerate(ratios)]
+    text = write_plan_csv(SurveyPlan(tuple(placements), region.length_ns), 1.0, 6)
+    assert [row.split(",")[1] for row in text.splitlines()[1:4]] == ["0.10000", "0.10000", "0.12346"]
 
 
 def test_plan_summary_fields(reference_plan, region):
