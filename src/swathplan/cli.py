@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import Any
 
 from .config import ConfigError, ScenarioConfig, load_config
@@ -19,10 +19,9 @@ from .geometry import width_table
 from .planfile import (
     NonFiniteOutputError,
     PlanParseError,
-    format_sig,
     plan_summary,
     read_plan,
-    sig_spec,
+    width_rows_csv,
     write_plan_csv,
     write_plan_json,
 )
@@ -127,37 +126,13 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         (heading, width_table(cfg.seabed, cfg.transducer, [heading], distances_m)[0])
         for heading in cfg.headings_deg
     )
-    sig = cfg.precision
-    labels = [format_sig(d, sig) for d in cfg.distances_nm]
     if cfg.format == "json":
-        # the printed distances key each row's widths, so no two may print alike
-        first_with: dict[str, float] = {}
-        for dist, label in zip(cfg.distances_nm, labels):
-            if label in first_with:
-                raise ConfigError(
-                    f"distances_nm {first_with[label]!r} and {dist!r} both print as "
-                    f"{label!r}, and JSON width keys must differ"
-                )
-            first_with[label] = dist
         from .jsonwriter import width_rows_json  # only JSON output compiles the templates
 
-        _emit(width_rows_json(rows, labels, sig), args.out)
+        chunks = width_rows_json(rows, cfg.distances_nm, cfg.precision)
     else:
-        # one % operation per row; "%.{sig}g" prints what format_sig prints
-        spec = sig_spec(sig)
-        full_row = ",".join([spec] * len(labels))
-
-        def lines() -> Iterator[str]:
-            yield "heading_deg," + ",".join(labels) + "\n"
-            for heading, row in rows:
-                if None in row:
-                    template = ",".join("ERR" if w is None else spec for w in row)
-                    row = [w for w in row if w is not None]
-                else:
-                    template = full_row
-                yield spec % heading + "," + template % tuple(row) + "\n"
-
-        _emit(lines(), args.out)
+        chunks = width_rows_csv(rows, cfg.distances_nm, cfg.precision)
+    _emit(chunks, args.out)
     return 0
 
 

@@ -37,6 +37,7 @@ class PlanarSeabed(_PlanarSeabed):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace keeps the checks
 
     def __new__(cls, reference_depth: float, slope_alpha: float):
         if not math.isfinite(reference_depth):
@@ -56,6 +57,7 @@ class TransducerSpec(_TransducerSpec):
     """Multibeam transducer described by the full opening angle between outer beams."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace keeps the checks
 
     def __new__(cls, opening_angle_theta: float):
         if not 0.0 < opening_angle_theta < 180.0:

@@ -8,10 +8,10 @@ JSON import this module.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
-from .planfile import RATIO_DECIMALS, require_finite_output, sig_spec
+from .config import ConfigError
+from .planfile import RATIO_DECIMALS, WidthRows, finite_texts, printable_widths, sig_spec
 from .planner import SurveyPlan, SurveyRegion, depth_at_x
 
 _FIRST_PLACEMENT = """\
@@ -111,10 +111,10 @@ def _array(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]"
 
 
-def plan_json(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
+def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> str:
     """The ``placements`` rows and the ``summary`` object of a plan file.
 
-    ``write_plan_json`` has checked that every number prints finite.
+    ``summary`` holds the texts ``plan_summary`` rounded and checked.
     """
     spec = sig_spec(sig)
     rows = [
@@ -123,60 +123,61 @@ def plan_json(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
         else _PLACEMENT % (float(spec % x), round(overlap, RATIO_DECIMALS), float(spec % width))
         for x, width, overlap in plan.placements
     ]
-    summary = _PLAN_SUMMARY % (
+    tail = _PLAN_SUMMARY % (
         plan.line_count,
-        float(spec % plan.total_track_length),
-        float(spec % plan.line_length),
-        float(spec % edge_offset_d1),
+        float(summary["total_track_nm"]),
+        float(summary["line_length_m"]),
+        float(summary["d1_m"]),
     )
-    return '{\n  "placements": ' + _array(rows) + ",\n" + summary
+    return '{\n  "placements": ' + _array(rows) + ",\n" + tail
 
 
 def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> str:
-    """Region corners and survey line segments as a JSON document.
-
-    Raises NonFiniteOutputError when a number would print as one that reads
-    back as inf or nan.
-    """
+    """Region corners and survey line segments as JSON; refused as ``finite_texts`` says."""
     spec = sig_spec(sig)
-    scene = {
-        "w": region.width_ew,
-        "length": region.length_ns,
-        "west": -depth_at_x(region, 0.0),
-        "east": -depth_at_x(region, region.width_ew),
-    }
     xs = [p.x for p in plan.placements]
-    require_finite_output(
+    printed = finite_texts(
         [
-            ("width_ew_m", scene["w"]),
-            ("length_ns_m", scene["length"]),
-            ("seabed_corners", scene["west"]),
-            ("seabed_corners", scene["east"]),
+            ("width_ew_m", region.width_ew),
+            ("length_ns_m", region.length_ns),
+            ("seabed_corners", -depth_at_x(region, 0.0)),
+            ("seabed_corners", -depth_at_x(region, region.width_ew)),
             ("x_m", min(xs, default=0.0)),
             ("x_m", max(xs, default=0.0)),
         ],
         sig,
     )
-    scene = {key: float(spec % value) for key, value in scene.items()}
+    scene = dict(zip(("w", "length", "west", "east"), map(float, printed)))
     length = repr(scene["length"])
     texts = (repr(float(spec % x)) for x in xs)
     lines = [_SURVEY_LINE % (i, x, x, x, length) for i, x in enumerate(texts, start=1)]
     return _SCENE_HEAD % scene + _array(lines) + "\n}\n"
 
 
-def width_rows_json(
-    rows: Iterable[tuple[float, list[float | None]]], labels: list[str], sig: int
-) -> Iterator[str]:
+def width_rows_json(rows: WidthRows, distances_nm: list[float], sig: int) -> Iterator[str]:
     """JSON text of the (heading, widths) rows, one heading at a time.
 
     The chunks join to what ``json.dumps(doc, indent=2)`` gives for the list
-    of ``{"heading_deg", "widths_m"}`` objects, ``labels`` keying the widths.
-    A width whose printed value overflows the float range prints null, as a
-    width that overflowed in the arithmetic does.
+    of ``{"heading_deg", "widths_m"}`` objects, the printed distances keying
+    the widths. A width that cannot print (``printable_widths``) is null.
+
+    Raises ConfigError, before any text is made, when two distances print
+    alike, since they would share one key.
     """
     spec = sig_spec(sig)
-    keys = [f'      "{label}": ' for label in labels]
+    labels = [spec % d for d in distances_nm]
+    first_with: dict[str, float] = {}
+    for dist, label in zip(distances_nm, labels):
+        if label in first_with:
+            raise ConfigError(
+                f"distances_nm {first_with[label]!r} and {dist!r} both print as "
+                f"{label!r}, and JSON width keys must differ"
+            )
+        first_with[label] = dist
+    return _width_chunks(rows, [f'      "{label}": ' for label in labels], spec)
 
+
+def _width_chunks(rows: WidthRows, keys: list[str], spec: str) -> Iterator[str]:
     def template(cells: list[float | None]) -> str:
         if not keys:
             return '  {\n    "heading_deg": %r,\n    "widths_m": {}\n  }'
@@ -185,12 +186,9 @@ def width_rows_json(
 
     full = template([0.0] * len(keys))
     for i, (heading, row) in enumerate(rows):
-        cells = [None if w is None else float(spec % w) for w in row]
-        if math.inf in cells:
-            cells = [None if c == math.inf else c for c in cells]
-        if None in cells:
-            text = template(cells) % (heading, *[c for c in cells if c is not None])
-        else:
-            text = full % (heading, *cells)
+        row, widths = printable_widths(row, spec)
+        text = (full if widths is row else template(row)) % (
+            heading, *[float(spec % w) for w in widths]
+        )
         yield ("[\n" if i == 0 else ",\n") + text
     yield "\n]\n"

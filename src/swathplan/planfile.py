@@ -1,6 +1,6 @@
-"""Plan file serialization: three-column CSV or a JSON document.
+"""Document text: plan files (three-column CSV or JSON) and the CSV width table.
 
-Both formats round numeric text to a configured number of significant
+Every format rounds numeric text to a configured number of significant
 digits so that rewriting a parsed file reproduces it byte for byte. The JSON
 text comes from the fixed templates in ``jsonwriter``.
 """
@@ -8,12 +8,14 @@ text comes from the fixed templates in ``jsonwriter``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .planner import LinePlacement, SurveyPlan, SurveyRegion
 
 PLAN_CSV_HEADER = "x_m,overlap_prev,width_m"
 RATIO_DECIMALS = 5
+# (heading, widths) per row of a width table; None where no width was computed
+WidthRows = Iterable[tuple[float, list[float | None]]]
 # No double has more than 767 significant digits and %g drops trailing zeros,
 # so a larger precision prints the same text, only from a bigger buffer.
 MAX_SIG_DIGITS = 767
@@ -28,23 +30,20 @@ class NonFiniteOutputError(ValueError):
 
 
 def sig_spec(sig: int) -> str:
-    """The %-format that prints a number to ``sig`` significant digits (plain %g)."""
+    """The %-format that prints every number but the overlap to ``sig`` digits (plain %g)."""
     return f"%.{min(sig, MAX_SIG_DIGITS)}g"
 
 
-def format_sig(value: float, sig: int) -> str:
-    """Significant-digit text for lengths and depths (plain %g notation)."""
-    return f"{value:.{min(sig, MAX_SIG_DIGITS)}g}"
+def finite_texts(fields: Iterable[tuple[str, float]], sig: int) -> list[str]:
+    """The text of each (name, value) at ``sig`` digits.
 
-
-def require_finite_output(fields: Iterable[tuple[str, float]], sig: int) -> None:
-    """Refuse any (name, value) whose text at ``sig`` digits reads back as inf or nan.
-
-    A value near the largest double can round up past it ("2e+308" at one
-    digit), and JSON has no text for infinity. Rounding is monotone, so a
-    column is checked by its least and greatest value alone.
+    Raises NonFiniteOutputError when one reads back as inf or nan: a value
+    near the largest double can round up past it ("2e+308" at one digit),
+    and JSON has no text for infinity. Rounding is monotone, so a column is
+    checked by its least and greatest value alone.
     """
     spec = sig_spec(sig)
+    texts = []
     for name, value in fields:
         text = spec % value
         if not math.isfinite(float(text)):
@@ -52,18 +51,16 @@ def require_finite_output(fields: Iterable[tuple[str, float]], sig: int) -> None
                 f"{name} does not print as a finite number: "
                 f"{value!r} at precision {sig} prints as {text!r}"
             )
+        texts.append(text)
+    return texts
 
 
 def plan_summary(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> dict[str, str]:
-    return {
-        "lines": str(plan.line_count),
-        "total_track_nm": format_sig(plan.total_track_length, sig),
-        "line_length_m": format_sig(plan.line_length, sig),
-        "d1_m": format_sig(edge_offset_d1, sig),
-    }
+    """The summary texts both plan formats print, each rounded once.
 
-
-def _require_finite_plan(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> None:
+    Raises NonFiniteOutputError when any number the plan file prints would
+    read back as inf or nan.
+    """
     fields = [
         ("total_track_nm", plan.total_track_length),
         ("line_length_m", plan.line_length),
@@ -73,16 +70,13 @@ def _require_finite_plan(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> N
         xs, widths, _ = zip(*plan.placements)
         fields += [("x_m", min(xs)), ("x_m", max(xs))]
         fields += [("width_m", min(widths)), ("width_m", max(widths))]
-    require_finite_output(fields, sig)
+    total, length, d1, *_ = finite_texts(fields, sig)
+    return dict(lines=str(plan.line_count), total_track_nm=total, line_length_m=length, d1_m=d1)
 
 
 def write_plan_csv(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
-    """The plan as CSV rows plus a ``# summary:`` line.
-
-    Raises NonFiniteOutputError when a number would print as one that reads
-    back as inf or nan.
-    """
-    _require_finite_plan(plan, edge_offset_d1, sig)
+    """The plan as CSV rows plus a ``# summary:`` line; refused as ``plan_summary`` says."""
+    summary = plan_summary(plan, edge_offset_d1, sig)
     spec = sig_spec(sig)
     first = f"{spec},,{spec}\n"  # no overlap on the westmost line
     row = f"{spec},%.{RATIO_DECIMALS}f,{spec}\n"
@@ -90,21 +84,46 @@ def write_plan_csv(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
         first % (x, width) if overlap is None else row % (x, overlap, width)
         for x, width, overlap in plan.placements
     ]
-    summary = plan_summary(plan, edge_offset_d1, sig)
     tail = "# summary: " + " ".join(f"{k}={v}" for k, v in summary.items()) + "\n"
     return PLAN_CSV_HEADER + "\n" + "".join(rows) + tail
 
 
 def write_plan_json(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
-    """The plan as a JSON document: ``placements`` rows and a ``summary`` object.
-
-    Raises NonFiniteOutputError when a number would print as one that reads
-    back as inf or nan.
-    """
+    """The plan as a JSON document of ``placements`` and ``summary``; refused as CSV is."""
     from .jsonwriter import plan_json  # only JSON output compiles the templates
 
-    _require_finite_plan(plan, edge_offset_d1, sig)
-    return plan_json(plan, edge_offset_d1, sig)
+    return plan_json(plan, plan_summary(plan, edge_offset_d1, sig), sig)
+
+
+def printable_widths(
+    row: list[float | None], spec: str
+) -> tuple[list[float | None], list[float]]:
+    """The row with None (ERR or null) for each width that cannot print, and
+    the widths that can, in order; both are ``row`` itself when all can.
+
+    A width cannot print when none was computed or when its text at ``spec``
+    reads back as inf. Widths are positive and rounding is monotone, so one
+    format of the greatest width clears a whole row.
+    """
+    widths = [w for w in row if w is not None] if None in row else row
+    if not widths or math.isfinite(float(spec % max(widths))):
+        return row, widths
+    row = [None if w is None or not math.isfinite(float(spec % w)) else w for w in row]
+    return row, [w for w in row if w is not None]
+
+
+def width_rows_csv(rows: WidthRows, distances_nm: list[float], sig: int) -> Iterator[str]:
+    """CSV text of the (heading, widths) rows: the header, then one % operation per row."""
+    spec = sig_spec(sig)
+    full_row = ",".join([spec] * len(distances_nm))
+    yield "heading_deg," + ",".join([spec % d for d in distances_nm]) + "\n"
+    for heading, row in rows:
+        row, widths = printable_widths(row, spec)
+        if widths is row:
+            template = full_row
+        else:
+            template = ",".join("ERR" if w is None else spec for w in row)
+        yield spec % heading + "," + template % tuple(widths) + "\n"
 
 
 def _parse_float(text: str, where: str) -> float:

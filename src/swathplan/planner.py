@@ -67,6 +67,9 @@ class SurveyRegion(_SurveyRegion):
         """The four extents __new__ takes, so copy and pickle rebuild the region."""
         return self[:4]
 
+    # _replace rebuilds through _make: derive the edge depths again from the extents
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:4]))
+
 
 class _LinePlacement(NamedTuple):
     x: float
@@ -78,12 +81,14 @@ class LinePlacement(_LinePlacement):
     """One north-south survey line and the geometry recorded for reports."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace keeps the checks
 
     def __new__(cls, x: float, swath_width: float, overlap_with_previous: float | None):
         if not (math.isfinite(x) and math.isfinite(swath_width)):
             raise ValueError(f"line x and width must be finite, got {x}, {swath_width}")
-        if overlap_with_previous is not None and not 0.0 < overlap_with_previous < 1.0:
-            raise ValueError(f"overlap must be in (0, 1), got {overlap_with_previous}")
+        # closed: a plan file prints it to five decimals, so 0 and 1 can read back
+        if overlap_with_previous is not None and not 0.0 <= overlap_with_previous <= 1.0:
+            raise ValueError(f"overlap must be in [0, 1], got {overlap_with_previous}")
         return super().__new__(cls, x, swath_width, overlap_with_previous)
 
 

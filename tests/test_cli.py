@@ -8,11 +8,17 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swathplan.cli import main
-from swathplan.geometry import PlanarSeabed, TransducerSpec, width_table
+from swathplan.errors import PlanningError
+from swathplan.geometry import PlanarSeabed, TransducerSpec, swath_cross_section, width_table
 from swathplan.planner import METERS_PER_NAUTICAL_MILE
 
 
@@ -153,6 +159,15 @@ def _no_constants(name):
     raise ValueError(f"not valid JSON: {name}")
 
 
+def _width_table_text(config: dict, fmt: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["width-table", "--config", str(path), "--format", fmt]) == 0
+    return out.getvalue()
+
+
 def test_width_table_overflow_prints_err(capsys):
     # 1e306 NM overflows to infinite meters
     argv = ["width-table", "--headings-deg", "0,180", "--distances-nm", "1e306,-1e306"]
@@ -165,6 +180,51 @@ def test_width_table_overflow_prints_err(capsys):
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
     assert doc == [{"heading_deg": 0.0, "widths_m": {"1e+300": None}}]
+    # a width whose text rounds past the largest double: 1.7e308 prints "2e+308"
+    config = {"seabed": {"reference_depth_m": 5e307}, "headings_deg": [90],
+              "distances_nm": [0], "precision": 1}
+    assert _width_table_text(config, "csv") == "heading_deg,0\n9e+01,ERR\n"
+    doc = json.loads(_width_table_text(config, "json"), parse_constant=_no_constants)
+    assert doc == [{"heading_deg": 90, "widths_m": {"0": None}}]
+
+
+@st.composite
+def width_configs(draw):
+    """Width-table configs, some of them deep enough that the widest row sits
+    just under the largest double, where a width can round up past it."""
+    alpha, theta = draw(st.floats(0.0, 89.0)), draw(st.floats(1.0, 179.0))
+    try:
+        # heading 90 runs along the contour, where the cross-track slope is alpha
+        unit = swath_cross_section(1.0, alpha, TransducerSpec(theta)).total_width
+        top = min(sys.float_info.max / unit, 1e308)
+    except PlanningError:  # the fan grazes the bed: every cell is ERR
+        top = 1e308
+    depth = draw(st.one_of(st.floats(1e-3, 1e308), st.floats(0.8 * top, top)))
+    headings = st.one_of(st.just(90.0), st.floats(0.0, 360.0, exclude_max=True))
+    distances = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, 1e306, -1e306]))
+    return {
+        "seabed": {"reference_depth_m": depth, "slope_alpha_deg": alpha},
+        "transducer": {"opening_angle_deg": theta},
+        "headings_deg": draw(st.lists(headings, min_size=1, max_size=4)),
+        "distances_nm": draw(st.lists(distances, min_size=1, max_size=6)),
+        "precision": draw(st.integers(1, 17)),
+    }
+
+
+@settings(deadline=None, max_examples=150)
+@given(width_configs())
+def test_width_table_formats_mark_the_same_cells(config):
+    sig, distances = config["precision"], config["distances_nm"]
+    # JSON keys the widths by the printed distance, so none may print alike
+    assume(len({f"{d:.{sig}g}" for d in distances}) == len(distances))
+    csv_rows = [line.split(",")[1:] for line in _width_table_text(config, "csv").splitlines()[1:]]
+    doc = json.loads(_width_table_text(config, "json"), parse_constant=_no_constants)
+    json_rows = [list(row["widths_m"].values()) for row in doc]
+    assert len(csv_rows) == len(json_rows) == len(config["headings_deg"])
+    for csv_cells, json_cells in zip(csv_rows, json_rows):
+        assert [c == "ERR" for c in csv_cells] == [w is None for w in json_cells]
+        numbers = [w for w in json_cells if w is not None]
+        assert [float(c) for c in csv_cells if c != "ERR"] == numbers
 
 
 # ERR cells in the middle (0.1, 0.2) and at the end (0.5) of the uphill row,
@@ -401,6 +461,35 @@ def test_verify_band_follows_the_planned_eta(eta, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(plan_path), "--eta", eta]) == 0
     assert capsys.readouterr().out.startswith("PASS")
+
+
+# Plans whose overlap column prints as 0 (an achieved overlap under 5e-6) or
+# as 1 (from 0.999995 up, here on a flat bed 1 m deep, about 17,500 lines)
+ROUNDED_OVERLAP_PLANS = {
+    "eta-1e-9": (["--eta", "1e-9"], "0"),
+    "eta-4.9e-6": (["--eta", "4.9e-6"], "0"),
+    "eta-0.999996": (
+        ["--alpha-deg", "0", "--center-depth-m", "1", "--region-ew-nm", "0.002",
+         "--eta", "0.999996"],
+        "1",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(ROUNDED_OVERLAP_PLANS))
+def test_verify_reads_a_plan_whose_overlap_prints_as_0_or_1(case, fmt, tmp_path, capsys):
+    flags, rounded = ROUNDED_OVERLAP_PLANS[case]
+    plan_path = tmp_path / f"plan.{fmt}"
+    assert main(["plan", *flags, "--format", fmt, "--out", str(plan_path)]) == 0
+    text = plan_path.read_text(encoding="utf-8")
+    assert (f",{rounded}.00000," if fmt == "csv" else f'"overlap_prev": {rounded}.0,') in text
+    capsys.readouterr()
+    # a verdict, never a parse error: the η 1e-9 plan leaves real gaps to report
+    assert main(["verify", str(plan_path), *flags]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith(("PASS", "FAIL"))
 
 
 def test_verify_passes_flat_bed_plan(tmp_path, capsys):

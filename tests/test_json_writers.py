@@ -26,7 +26,7 @@ from swathplan.geometry import TransducerSpec, swath_cross_section
 from swathplan.jsonwriter import plot_data_json, width_rows_json
 from swathplan.planfile import (
     NonFiniteOutputError,
-    format_sig,
+    sig_spec,
     write_plan_csv,
     write_plan_json,
 )
@@ -123,16 +123,16 @@ def test_plan_writers_match_on_hand_built_plans(placements, length, d1, sig):
 )
 def test_width_rows_match_the_document_writer(rows, distances, sig):
     # an empty distance list prints each row's widths as {}; None is an ERR cell
-    labels = [format_sig(d, sig) for d in distances]
+    labels = [sig_spec(sig) % d for d in distances]
     assume(len(set(labels)) == len(labels))
     rows = [(heading, row[: len(labels)]) for heading, row in rows]
-    text = "".join(width_rows_json(rows, labels, sig))
+    text = "".join(width_rows_json(rows, distances, sig))
     assert text == _dump(width_rows_document(rows, labels, sig))
 
 
 def test_width_that_prints_past_the_float_range_is_null():
     # 1.7e308 rounds to "2e+308" at one digit, which JSON cannot hold
-    text = "".join(width_rows_json([(90.0, [1.7e308, 1.0])], ["0", "1"], 1))
+    text = "".join(width_rows_json([(90.0, [1.7e308, 1.0])], [0.0, 1.0], 1))
     assert json.loads(text) == [{"heading_deg": 90.0, "widths_m": {"0": None, "1": 1.0}}]
 
 

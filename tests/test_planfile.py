@@ -9,19 +9,19 @@ import pytest
 from swathplan.planfile import (
     PLAN_CSV_HEADER,
     PlanParseError,
-    format_sig,
     plan_summary,
     read_plan,
+    sig_spec,
     write_plan_csv,
     write_plan_json,
 )
 from swathplan.planner import LinePlacement, SurveyPlan
 
 
-def test_format_sig_trims_to_significant_digits():
-    assert format_sig(415.69219381653056, 6) == "415.692"
-    assert format_sig(7408.0, 6) == "7408"
-    assert format_sig(0.10000019, 6) == "0.1"
+def test_sig_spec_trims_to_significant_digits():
+    assert sig_spec(6) % 415.69219381653056 == "415.692"
+    assert sig_spec(6) % 7408.0 == "7408"
+    assert sig_spec(6) % 0.10000019 == "0.1"
 
 
 def test_csv_ratio_is_fixed_point(region):

@@ -131,9 +131,9 @@ INVALID = [
     (SurveyRegion, (1.0, 1.0, 1.0, NAN), "slope angle must be in [0, 90) degrees, got nan"),
     (LinePlacement, (NAN, 100.0, None), "line x and width must be finite, got nan, 100.0"),
     (LinePlacement, (1.0, -INF, 0.5), "line x and width must be finite, got 1.0, -inf"),
-    (LinePlacement, (1.0, 100.0, 0.0), "overlap must be in (0, 1), got 0.0"),
-    (LinePlacement, (1.0, 100.0, 1.0), "overlap must be in (0, 1), got 1.0"),
-    (LinePlacement, (1.0, 100.0, NAN), "overlap must be in (0, 1), got nan"),
+    (LinePlacement, (1.0, 100.0, -0.1), "overlap must be in [0, 1], got -0.1"),
+    (LinePlacement, (1.0, 100.0, 1.5), "overlap must be in [0, 1], got 1.5"),
+    (LinePlacement, (1.0, 100.0, NAN), "overlap must be in [0, 1], got nan"),
 ]
 
 
@@ -144,3 +144,48 @@ def test_invalid_record_values_rejected(cls, args, message):
     with pytest.raises(ValueError) as exc:
         cls(*args)
     assert str(exc.value) == message
+
+
+def test_overlap_that_prints_as_0_or_1_is_a_placement():
+    # a plan file prints the overlap to five decimals: 4e-6 reads back as 0.0
+    assert LinePlacement(1.0, 100.0, 0.0).overlap_with_previous == 0.0
+    assert LinePlacement(1.0, 100.0, 1.0).overlap_with_previous == 1.0
+
+
+# (record, a field set to a value its constructor refuses, the message)
+REPLACED = [
+    (lambda: PlanarSeabed(120.0, 1.5), {"reference_depth": -5.0},
+     "reference depth must be positive, got -5.0"),
+    (lambda: TransducerSpec(120.0), {"opening_angle_theta": 180.0},
+     "opening angle must be in (0, 180) degrees, got 180.0"),
+    (_region, {"center_depth": 0.0}, "center depth must be positive, got 0.0"),
+    (lambda: LinePlacement(1.0, 2.0, None), {"x": NAN},
+     "line x and width must be finite, got nan, 2.0"),
+    (lambda: LinePlacement(1.0, 2.0, 0.5), {"overlap_with_previous": 1.5},
+     "overlap must be in [0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, fields, message",
+    REPLACED,
+    ids=[f"{type(build()).__name__}-{','.join(fields)}" for build, fields, _ in REPLACED],
+)
+def test_replace_and_make_keep_the_checks(build, fields, message):
+    record = build()
+    with pytest.raises(ValueError) as exc:
+        record._replace(**fields)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **fields}.values())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("width_ew", 100.0), ("length_ns", 50.0), ("center_depth", 2000.0), ("slope_alpha", 0.0)],
+)
+def test_replaced_region_equals_one_built_afresh(field, value):
+    extents = {"width_ew": 7408.0, "length_ns": 3704.0, "center_depth": 110.0, "slope_alpha": 1.5}
+    fresh = SurveyRegion(**{**extents, field: value})
+    assert _region()._replace(**{field: value}) == fresh
+    assert SurveyRegion._make(fresh) == fresh
