@@ -161,7 +161,7 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     try:
         with open(args.plan_file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise PlanParseError(f"cannot read plan file: {err}") from err
     plan = read_plan(text, cfg.region)
     result = verify_plan(plan, cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max)

@@ -149,7 +149,9 @@ def load_config(path: str | None, overrides: dict[str, Any] | None = None) -> Sc
                 raw = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
-        except ValueError as err:  # JSONDecodeError, or an integer literal too long to convert
+        # JSONDecodeError, an integer literal too long to convert, bytes that
+        # are not UTF-8, or nesting too deep
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")

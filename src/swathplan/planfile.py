@@ -180,7 +180,8 @@ def _rows_from_json(text: str) -> list[_Row]:
 
     try:
         doc = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an integer literal too long to convert
+    # JSONDecodeError, an integer literal too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as err:
         raise PlanParseError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("placements"), list):
         raise PlanParseError("JSON plan must be an object with a 'placements' array")

@@ -12,13 +12,13 @@ the cell count.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import BeamGrazeError, SurfacedSeabedError
 from .geometry import TransducerSpec
 from .planner import SurveyPlan, SurveyRegion
 
-DEFAULT_RESOLUTION_M = 0.1
+COARSEST_CELL_M = 0.1
 
 # Slack on the pairwise ratio band: absorbs the bed-measured vs horizontal
 # convention gap near the reference scenario plus raster quantization.
@@ -33,7 +33,8 @@ class CoverageReport(NamedTuple):
     Attributes
     ----------
     resolution : float
-        Cell size (m) of the raster.
+        Cell size (m) of the raster, W / n for the n cells that tile the
+        region width W.
     uncovered_intervals : tuple of (x_start, x_end)
         Gaps inside the region, in meters east of the west boundary.
     pairwise_overlap_ratios : tuple of float
@@ -79,10 +80,7 @@ def _depths_and_reaches(region: SurveyRegion, xdcr: TransducerSpec, xs: list) ->
 
 
 def rasterize_coverage(
-    plan: SurveyPlan,
-    region: SurveyRegion,
-    xdcr: TransducerSpec,
-    resolution: float | None = None,
+    plan: SurveyPlan, region: SurveyRegion, xdcr: TransducerSpec
 ) -> CoverageReport:
     """Measure coverage of a plan on a raster of cell centers.
 
@@ -91,34 +89,34 @@ def rasterize_coverage(
     than trusted from the plan. An empty plan yields one uncovered interval
     spanning the whole region.
 
-    The raster resolution defaults to the finest of DEFAULT_RESOLUTION_M, a
-    hundredth of the region width (the coarsest the raster accepts) and
-    RATIO_SLACK / 2 of the narrowest footprint. A pair's rasterized shared
-    extent is off by under one cell, so that last bound keeps each ratio's
-    raster error within half the slack for any footprint wider than
-    400 * 2**-52 of the region width.
+    The raster tiles the region width W with n = max(ceil(W / t), 100)
+    cells of W / n, so the last center lies half a cell inside the east
+    edge. The target cell t is the finer of COARSEST_CELL_M and
+    RATIO_SLACK / 2 of the narrowest footprint, but no finer than W * 2**-52,
+    which keeps every cell index an exact double. A pair's rasterized
+    shared extent is off by under one cell, so t keeps each ratio's raster
+    error within half the slack.
     """
-    # at most 2**52 cells keeps every cell index an exact double; NaN fails too
-    finest, coarsest = region.width_ew * 2.0**-52, region.width_ew / 100.0
-    if resolution is not None and not finest <= resolution <= coarsest:
-        raise ValueError(
-            f"resolution must be in [{finest:g}, {coarsest:g}] m, got {resolution:g}"
-        )
     xs = [p.x for p in plan.placements]
     depths, _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
-    if resolution is None:
-        narrowest = min(depths, default=math.inf) * (reach_deep + reach_shallow)
-        resolution = max(
-            min(DEFAULT_RESOLUTION_M, coarsest, 0.5 * RATIO_SLACK * narrowest), finest
-        )
-    n_cells = int(math.ceil(region.width_ew / resolution))
-    # cell i's center is (i + 0.5) * resolution and the centers ascend, so
-    # the cells with lo <= center <= hi are the index range [first, stop)
+    narrowest = min(depths, default=math.inf) * (reach_deep + reach_shallow)
+    width = region.width_ew
+    target = max(min(COARSEST_CELL_M, 0.5 * RATIO_SLACK * narrowest), width * 2.0**-52)
+    footprints = ((x - d * reach_deep, x + d * reach_shallow) for x, d in zip(xs, depths))
+    return _raster(footprints, width, max(math.ceil(width / target), 100))
+
+
+def _raster(
+    footprints: Iterable[tuple[float, float]], width: float, n_cells: int
+) -> CoverageReport:
+    """Coverage of footprints (lo, hi), in line order, on n_cells cells tiling [0, width]."""
+    cell = width / n_cells
+    # cell i's center is (i + 0.5) * cell and the centers ascend, so the
+    # cells with lo <= center <= hi are the index range [first, stop)
     ranges = []  # (first, stop, footprint extent) per line
-    for x, depth in zip(xs, depths):
-        lo, hi = x - depth * reach_deep, x + depth * reach_shallow
-        first = _centers_below(lo, resolution, n_cells, inclusive=False)
-        stop = _centers_below(hi, resolution, n_cells, inclusive=True)
+    for lo, hi in footprints:
+        first = _centers_below(lo, cell, n_cells, inclusive=False)
+        stop = _centers_below(hi, cell, n_cells, inclusive=True)
         ranges.append((first, stop, hi - lo))
     # coverage changes only at range ends: +1 at each first, -1 at each stop
     steps = {0: 0, n_cells: 0}
@@ -138,14 +136,13 @@ def rasterize_coverage(
         else:
             runs.append([start, end])
     ratios = tuple(
-        max(0, min(stop_w, stop_e) - max(first_w, first_e)) * resolution / (0.5 * (ext_w + ext_e))
+        max(0, min(stop_w, stop_e) - max(first_w, first_e)) * cell / (0.5 * (ext_w + ext_e))
         for (first_w, stop_w, ext_w), (first_e, stop_e, ext_e) in zip(ranges, ranges[1:])
     )
     return CoverageReport(
-        resolution=resolution,
-        uncovered_intervals=tuple(
-            (start * resolution, min(end * resolution, region.width_ew)) for start, end in runs
-        ),
+        resolution=cell,
+        # n_cells * cell can round above width
+        uncovered_intervals=tuple((start * cell, min(end * cell, width)) for start, end in runs),
         pairwise_overlap_ratios=ratios,
         max_multiplicity=max_cover,
     )
@@ -187,8 +184,7 @@ def verify_plan(
     shape: on a sloped bed they must not grow eastward, on a flat bed they
     must all be equal. A plan file rounds widths to its printed digits, and
     rounding is monotone, so neighbours on a gentle slope may print equal
-    widths but never growing ones. The raster uses rasterize_coverage's
-    default cell.
+    widths but never growing ones. The raster is rasterize_coverage's.
     """
     report = rasterize_coverage(plan, region, xdcr)
     findings = []

@@ -144,7 +144,8 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_raster_coverage(reference_plan, region, xdcr):
-    report = rasterize_coverage(reference_plan, region, xdcr, resolution=0.1)
+    report = rasterize_coverage(reference_plan, region, xdcr)
+    assert report.resolution == 0.1
     assert report.uncovered_intervals == ()
     for ratio in report.pairwise_overlap_ratios:
         assert 0.095 <= ratio <= 0.105

@@ -564,6 +564,36 @@ def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read plan file" in capsys.readouterr().err
 
 
+def test_verify_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(bytes(range(128, 256)))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read plan file: 'utf-8' codec can't decode"), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text, prefix",
+    [
+        (("verify",), "[" * 200_000 + "]" * 200_000, "error: not valid JSON: "),
+        (
+            ("plan", "--config"),
+            '{"a":' * 100_000 + "1" + "}" * 100_000,
+            "error: config is not valid JSON: ",
+        ),
+    ],
+    ids=["plan", "config"],
+)
+def test_deeply_nested_json_exits_2(argv, text, prefix, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "recursion" in err, err
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ plot-data
 
 

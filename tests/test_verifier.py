@@ -20,7 +20,7 @@ from swathplan.geometry import (
 )
 from swathplan.planfile import read_plan, write_plan_csv
 from swathplan.planner import LinePlacement, SurveyPlan, SurveyRegion, plan_survey
-from swathplan.verifier import _depths_and_reaches, rasterize_coverage, verify_plan
+from swathplan.verifier import _depths_and_reaches, _raster, rasterize_coverage, verify_plan
 
 from oracles import brute_force_next_line
 
@@ -65,37 +65,6 @@ def test_rasterize_single_line_gaps(xdcr):
     assert report.max_multiplicity == 1
 
 
-TINY_RESOLUTION_SCRIPT = """
-from swathplan.geometry import TransducerSpec
-from swathplan.planner import SurveyRegion, plan_survey
-from swathplan.verifier import rasterize_coverage
-
-region = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=1.5)
-xdcr = TransducerSpec(opening_angle_theta=120.0)
-try:
-    rasterize_coverage(plan_survey(region, xdcr, 0.10), region, xdcr, resolution=1e-300)
-except ValueError as err:
-    print(err)
-"""
-
-
-def test_rasterize_rejects_bad_resolution(reference_plan, region, xdcr):
-    # 1e-320 overflows the cell count to infinity; NaN fails every comparison
-    for resolution in (0.0, region.width_ew / 99.0, 1e-320, math.nan):
-        with pytest.raises(ValueError, match="resolution"):
-            rasterize_coverage(reference_plan, region, xdcr, resolution=resolution)
-    # let through, 1e-300 steps one cell at a time among indices near 1e303
-    # that are no longer exact doubles, so it runs where a timeout can stop it
-    proc = subprocess.run(
-        [sys.executable, "-c", TINY_RESOLUTION_SCRIPT],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("resolution must be in"), proc.stdout
-
-
 def test_rasterize_default_plan(reference_plan, region, xdcr):
     report = rasterize_coverage(reference_plan, region, xdcr)
     assert report.uncovered_intervals == ()
@@ -108,9 +77,10 @@ def test_rasterize_default_plan(reference_plan, region, xdcr):
 
 def test_rasterize_ratio_converges_with_resolution(reference_plan, region, xdcr):
     # each raster pins the shared extent to within one cell, so halving the
-    # resolution moves a ratio by at most (coarse + fine) cells per footprint
-    coarse = rasterize_coverage(reference_plan, region, xdcr, resolution=0.2)
-    fine = rasterize_coverage(reference_plan, region, xdcr, resolution=0.1)
+    # cell moves a ratio by at most (coarse + fine) cells per footprint
+    coarse = _raster_of(reference_plan, region, xdcr, 37040)
+    fine = _raster_of(reference_plan, region, xdcr, 74080)
+    assert (coarse.resolution, fine.resolution) == (0.2, 0.1)
     cos_a = math.cos(math.radians(region.slope_alpha))
     widths = [p.swath_width for p in reference_plan.placements]
     for i, (rc, rf) in enumerate(
@@ -126,14 +96,21 @@ def _footprint(region, xdcr, x):
     return x - depth * reach_deep, x + depth * reach_shallow
 
 
-def _coverage_by_definition(plan, region, xdcr, resolution):
+def _raster_of(plan, region, xdcr, n_cells):
+    """The audit's raster of the plan on n_cells cells tiling the region."""
+    footprints = [_footprint(region, xdcr, p.x) for p in plan.placements]
+    return _raster(footprints, region.width_ew, n_cells)
+
+
+def _coverage_by_definition(plan, region, xdcr, n_cells):
     """(uncovered intervals, pairwise ratios, max multiplicity), one cell at a time.
 
-    A cell is covered by every line whose horizontal footprint holds the
-    cell's center; a pair shares the cells that both footprints hold.
+    The n_cells cells tile the region. A cell is covered by every line whose
+    horizontal footprint holds the cell's center; a pair shares the cells
+    that both footprints hold.
     """
     footprints = [_footprint(region, xdcr, p.x) for p in plan.placements]
-    n_cells = math.ceil(region.width_ew / resolution)
+    resolution = region.width_ew / n_cells
     members = []
     for i in range(n_cells):
         center = (i + 0.5) * resolution
@@ -170,10 +147,10 @@ def _perturbed(plan, rng):
     return SurveyPlan(placements=tuple(lines), line_length=plan.line_length)
 
 
-def _assert_matches_definition(plan, region, xdcr, resolution):
-    report = rasterize_coverage(plan, region, xdcr, resolution)
+def _assert_matches_definition(plan, region, xdcr, n_cells):
+    report = _raster_of(plan, region, xdcr, n_cells)
     got = (report.uncovered_intervals, report.pairwise_overlap_ratios, report.max_multiplicity)
-    assert got == _coverage_by_definition(plan, region, xdcr, resolution)
+    assert got == _coverage_by_definition(plan, region, xdcr, n_cells)
 
 
 def test_rasterize_matches_cell_by_cell_definition(xdcr):
@@ -192,8 +169,7 @@ def test_rasterize_matches_cell_by_cell_definition(xdcr):
         plan = plan_survey(region, fan, rng.uniform(0.05, 0.5))
         if n % 4:
             plan = _perturbed(plan, rng)
-        resolution = width_ew / rng.choice((100, 173, 400))
-        _assert_matches_definition(plan, region, fan, resolution)
+        _assert_matches_definition(plan, region, fan, rng.choice((100, 173, 400)))
 
 
 def test_rasterize_footprints_narrower_than_a_cell(xdcr):
@@ -209,12 +185,13 @@ def test_rasterize_footprints_narrower_than_a_cell(xdcr):
         [LinePlacement(x=x, swath_width=w, overlap_with_previous=None) for x in xs],
         region,
     )
-    report = rasterize_coverage(plan, region, xdcr, resolution=4.0)
+    report = _raster_of(plan, region, xdcr, 100)
+    assert report.resolution == 4.0
     assert report.uncovered_intervals == ((0.0, 4.0), (12.0, 400.0))
     assert report.pairwise_overlap_ratios[:3] == (0.0, 0.0, 0.0)
     assert report.pairwise_overlap_ratios[3] == pytest.approx(4.0 / w)
     assert report.max_multiplicity == 2
-    _assert_matches_definition(plan, region, xdcr, 4.0)
+    _assert_matches_definition(plan, region, xdcr, 100)
 
 
 def _xs_with_edges_around(region, xdcr, center, east):
@@ -247,6 +224,8 @@ def test_rasterize_edges_one_ulp_beside_a_center(xdcr, resolution, cells):
     # the center's double decides (at 0.1 m, cell 164's own center gives just
     # under 164)
     region = SurveyRegion(width_ew=400.0, length_ns=100.0, center_depth=0.5, slope_alpha=0.0)
+    n_cells = round(region.width_ew / resolution)
+    assert region.width_ew / n_cells == resolution  # the cells tile the region
     lines = []
     for i in cells:
         center = (i + 0.5) * resolution
@@ -254,8 +233,8 @@ def test_rasterize_edges_one_ulp_beside_a_center(xdcr, resolution, cells):
             for x in _xs_with_edges_around(region, xdcr, center, east):
                 lines.append(LinePlacement(x=x, swath_width=1.0, overlap_with_previous=None))
     for line in lines:
-        _assert_matches_definition(_plan_of([line], region), region, xdcr, resolution)
-    _assert_matches_definition(_plan_of(lines, region), region, xdcr, resolution)
+        _assert_matches_definition(_plan_of([line], region), region, xdcr, n_cells)
+    _assert_matches_definition(_plan_of(lines, region), region, xdcr, n_cells)
 
 
 def test_rasterize_memory_does_not_grow_with_cells(xdcr):
@@ -266,10 +245,11 @@ def test_rasterize_memory_does_not_grow_with_cells(xdcr):
     plan = plan_survey(region, xdcr, 0.10)
     tracemalloc.start()
     try:
-        report = rasterize_coverage(plan, region, xdcr, resolution=0.1)
+        report = rasterize_coverage(plan, region, xdcr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert report.resolution == 0.1
     assert report.uncovered_intervals == ()
     assert len(report.pairwise_overlap_ratios) == len(plan.placements) - 1
     assert peak < 2**20
@@ -353,14 +333,82 @@ def test_rasterize_default_cell_is_the_audit_cell(xdcr):
 
 
 def test_rasterize_default_cell_fits_a_narrow_region(xdcr):
-    # 5 m wide: 0.1 m would be coarser than the hundredth of the width the
-    # raster accepts, so the default cell is that hundredth
+    # 5 m wide: 0.1 m cells would be 50, and the raster has at least 100
     region = SurveyRegion(width_ew=5.0, length_ns=100.0, center_depth=100.0, slope_alpha=0.0)
     line = LinePlacement(x=2.5, swath_width=346.4, overlap_with_previous=None)
     report = rasterize_coverage(_plan_of([line], region), region, xdcr)
     assert report.resolution == 0.05
     assert report.uncovered_intervals == ()
     assert report.max_multiplicity == 1
+
+
+TINY_FOOTPRINT_SCRIPT = """
+from swathplan.geometry import TransducerSpec
+from swathplan.planner import LinePlacement, SurveyPlan, SurveyRegion
+from swathplan.verifier import rasterize_coverage
+
+region = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=1e-300, slope_alpha=0.0)
+line = LinePlacement(x=3704.0, swath_width=1e-300, overlap_with_previous=None)
+report = rasterize_coverage(SurveyPlan((line,), 3704.0), region, TransducerSpec(120.0))
+print(report.resolution == 7408.0 * 2.0**-52, report.uncovered_intervals)
+"""
+
+
+def test_rasterize_cell_is_at_least_a_2_52th_of_the_width():
+    # a 1e-300 m footprint asks for a cell near 4e-303 m; cells that fine
+    # would have indices near 2e306 that are no longer exact doubles, and the
+    # raster would step among them one at a time, so this runs where a
+    # timeout can stop it
+    proc = subprocess.run(
+        [sys.executable, "-c", TINY_FOOTPRINT_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True ((0.0, 7408.0),)\n"
+
+
+# 400.02 m wide: 0.1 m cells would be 4000.2, so the raster has 4001 cells
+# of 400.02 / 4001 m, and a 120 deg fan 200 / tan(60 deg) m over a flat bed
+# insonifies 400 m, the whole region from one line
+EAST_EDGE = SurveyRegion(
+    width_ew=400.02,
+    length_ns=100.0,
+    center_depth=200.0 / math.tan(math.radians(60.0)),
+    slope_alpha=0.0,
+)
+
+
+def _line_ending_at(region, xdcr, east_end):
+    """A line whose footprint's east end is east_end, to within rounding."""
+    lo, hi = _footprint(region, xdcr, 0.0)
+    line = LinePlacement(x=east_end - hi, swath_width=hi - lo, overlap_with_previous=None)
+    assert _footprint(region, xdcr, line.x)[1] == pytest.approx(east_end, abs=1e-9)
+    return line
+
+
+def test_verify_passes_a_footprint_ending_just_past_the_east_edge(xdcr):
+    # ceil(W / 0.1) cells of 0.1 m would put the last center at 400.05 m,
+    # outside the region, and report a false gap [400.0, 400.02]
+    width = EAST_EDGE.width_ew
+    plan = _plan_of([_line_ending_at(EAST_EDGE, xdcr, width + 0.02)], EAST_EDGE)
+    result = verify_plan(plan, EAST_EDGE, xdcr, 0.10, 0.20)
+    assert result.passed, result.findings
+    assert result.report == _raster_of(plan, EAST_EDGE, xdcr, 4001)
+    _assert_matches_definition(plan, EAST_EDGE, xdcr, 4001)
+
+
+def test_verify_fails_a_footprint_ending_a_cell_short_of_the_east_edge(xdcr):
+    width = EAST_EDGE.width_ew
+    cell = width / 4001
+    plan = _plan_of([_line_ending_at(EAST_EDGE, xdcr, width - cell)], EAST_EDGE)
+    result = verify_plan(plan, EAST_EDGE, xdcr, 0.10, 0.20)
+    assert not result.passed
+    assert result.report.uncovered_intervals == ((4000 * cell, width),)
+    assert result.findings == ("uncovered interval [399.920, 400.020] m",)
+    assert result.report == _raster_of(plan, EAST_EDGE, xdcr, 4001)
+    _assert_matches_definition(plan, EAST_EDGE, xdcr, 4001)
 
 
 def test_verify_detects_deleted_line(reference_plan, region, xdcr):
