@@ -8,6 +8,8 @@ be written.
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import os
 import sys
 from collections.abc import Iterable
@@ -187,6 +189,14 @@ def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     return 0
 
 
+class _ClosedStdout(io.TextIOBase):
+    """Stdout for a process started with fd 1 closed, where ``sys.stdout`` is
+    None: each write fails, as a write to a full disk does."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, "stdout is closed")
+
+
 def _drop_unwritable_stdout() -> None:
     """Point stdout at the null device if it still cannot flush.
 
@@ -205,6 +215,8 @@ def _drop_unwritable_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # after parsing, which sends --help to stderr then
+        sys.stdout = _ClosedStdout()
     try:
         cfg = _config_from_args(args)
         code = args.handler(args, cfg)

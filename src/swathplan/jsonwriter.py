@@ -1,9 +1,10 @@
-"""JSON text from fixed ``%`` templates: the plan, the plot-data scene, width-table rows.
+"""JSON text from ``%`` templates: the plan, the plot-data scene, width-table rows.
 
 Each writer prints what ``json.dumps(doc, indent=2)`` prints for its
 document, without building the document: JSON writes a finite float as
-``float.__repr__``, which is what ``%r`` prints. Only the commands that write
-JSON import this module.
+``float.__repr__``, which is what ``%r`` prints. One rule, ``_layout``, lays
+out every template from the shape of its document, once at import. Only the
+commands that write JSON import this module.
 """
 
 from __future__ import annotations
@@ -14,101 +15,72 @@ from .config import ConfigError
 from .planfile import RATIO_DECIMALS, WidthRows, finite_texts, printable_widths, sig_spec
 from .planner import SurveyPlan, SurveyRegion, depth_at_x
 
-_FIRST_PLACEMENT = """\
-    {
-      "x_m": %r,
-      "overlap_prev": null,
-      "width_m": %r
-    }"""
-_PLACEMENT = """\
-    {
-      "x_m": %r,
-      "overlap_prev": %r,
-      "width_m": %r
-    }"""
-_PLAN_SUMMARY = """\
-  "summary": {
-    "line_count": %d,
-    "total_track_nm": %r,
-    "line_length_m": %r,
-    "d1_m": %r
-  }
-}
-"""
-_SCENE_HEAD = """\
-{
-  "region": {
-    "width_ew_m": %(w)r,
-    "length_ns_m": %(length)r
-  },
-  "sea_surface_corners": [
-    [
-      0.0,
-      0.0,
-      0.0
-    ],
-    [
-      %(w)r,
-      0.0,
-      0.0
-    ],
-    [
-      %(w)r,
-      %(length)r,
-      0.0
-    ],
-    [
-      0.0,
-      %(length)r,
-      0.0
-    ]
-  ],
-  "seabed_corners": [
-    [
-      0.0,
-      0.0,
-      %(west)r
-    ],
-    [
-      %(w)r,
-      0.0,
-      %(east)r
-    ],
-    [
-      %(w)r,
-      %(length)r,
-      %(east)r
-    ],
-    [
-      0.0,
-      %(length)r,
-      %(west)r
-    ]
-  ],
-  "survey_lines": """
-# x is rounded once and printed three times
-_SURVEY_LINE = """\
-    {
-      "line": %d,
-      "x_m": %s,
-      "start": [
-        %s,
-        0.0,
-        0.0
-      ],
-      "end": [
-        %s,
-        %s,
-        0.0
-      ]
-    }"""
 
+def _layout(shape: str | list | dict, pad: str) -> str:
+    """``shape`` as ``json.dumps(shape, indent=2)`` lays it out ``pad`` deep.
 
-def _array(items: list[str]) -> str:
-    """A JSON array one level into a document, from items indented two levels."""
+    A shape nests dicts and lists of raw strings, each printed as it is: a
+    JSON literal, a ``%`` conversion or text already laid out one level in.
+    Keys print in quotes, unescaped.
+    """
+    if isinstance(shape, str):
+        return shape
+    inner = pad + "  "
+    if isinstance(shape, dict):
+        ends, items = "{}", [f'"{key}": {_layout(value, inner)}' for key, value in shape.items()]
+    else:
+        ends, items = "[]", [_layout(item, inner) for item in shape]
     if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n  ]"
+        return ends
+    # the indent rides in the separator, so each item is copied once
+    body = (",\n" + inner).join(items)
+    return f"{ends[0]}\n{inner}{body}\n{pad}{ends[1]}"
+
+
+# Marks where a document's long array goes: the writers join it in by
+# concatenation, which holds less memory than a ``%`` of the whole text.
+_HOLE = "\0"
+
+
+def _document(shape: list | dict) -> list[str]:
+    """The text of a whole document, ended by a newline, cut at its holes."""
+    return (_layout(shape, "") + "\n").split(_HOLE)
+
+
+def _corners(west: str, east: str) -> list[list[str]]:
+    """The region's four corners at the given depths, west edge first."""
+    return [
+        ["0.0", "0.0", west],
+        ["%(w)r", "0.0", east],
+        ["%(w)r", "%(length)r", east],
+        ["0.0", "%(length)r", west],
+    ]
+
+
+_FIRST_PLACEMENT, _PLACEMENT = (
+    _layout({"x_m": "%r", "overlap_prev": overlap, "width_m": "%r"}, "    ")
+    for overlap in ("null", "%r")
+)
+_PLAN_HEAD, _PLAN_TAIL = _document(
+    {
+        "placements": _HOLE,
+        "summary": dict.fromkeys(("line_count", "total_track_nm", "line_length_m", "d1_m"), "%r"),
+    }
+)
+_SCENE_HEAD, _SCENE_TAIL = _document(
+    {
+        "region": {"width_ew_m": "%(w)r", "length_ns_m": "%(length)r"},
+        "sea_surface_corners": _corners("0.0", "0.0"),
+        "seabed_corners": _corners("%(west)r", "%(east)r"),
+        "survey_lines": _HOLE,
+    }
+)
+# x is rounded once and printed three times
+_SURVEY_LINE = _layout(
+    {"line": "%d", "x_m": "%s", "start": ["%s", "0.0", "0.0"], "end": ["%s", "%s", "0.0"]}, "    "
+)
+# the width table is one array, streamed a row at a time
+_ROWS_OPEN, _ROWS_NEXT, _ROWS_CLOSE = _document([_HOLE, _HOLE])
 
 
 def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> str:
@@ -123,13 +95,13 @@ def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> str:
         else _PLACEMENT % (float(spec % x), round(overlap, RATIO_DECIMALS), float(spec % width))
         for x, width, overlap in plan.placements
     ]
-    tail = _PLAN_SUMMARY % (
+    tail = _PLAN_TAIL % (
         plan.line_count,
         float(summary["total_track_nm"]),
         float(summary["line_length_m"]),
         float(summary["d1_m"]),
     )
-    return '{\n  "placements": ' + _array(rows) + ",\n" + tail
+    return _PLAN_HEAD + _layout(rows, "  ") + tail
 
 
 def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> str:
@@ -151,7 +123,7 @@ def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> str:
     length = repr(scene["length"])
     texts = (repr(float(spec % x)) for x in xs)
     lines = [_SURVEY_LINE % (i, x, x, x, length) for i, x in enumerate(texts, start=1)]
-    return _SCENE_HEAD % scene + _array(lines) + "\n}\n"
+    return _SCENE_HEAD % scene + _layout(lines, "  ") + _SCENE_TAIL
 
 
 def width_rows_json(rows: WidthRows, distances_nm: list[float], sig: int) -> Iterator[str]:
@@ -174,21 +146,19 @@ def width_rows_json(rows: WidthRows, distances_nm: list[float], sig: int) -> Ite
                 f"{label!r}, and JSON width keys must differ"
             )
         first_with[label] = dist
-    return _width_chunks(rows, [f'      "{label}": ' for label in labels], spec)
+    return _width_chunks(rows, labels, spec)
 
 
-def _width_chunks(rows: WidthRows, keys: list[str], spec: str) -> Iterator[str]:
+def _width_chunks(rows: WidthRows, labels: list[str], spec: str) -> Iterator[str]:
     def template(cells: list[float | None]) -> str:
-        if not keys:
-            return '  {\n    "heading_deg": %r,\n    "widths_m": {}\n  }'
-        widths = ",\n".join(key + ("null" if c is None else "%r") for key, c in zip(keys, cells))
-        return '  {\n    "heading_deg": %r,\n    "widths_m": {\n' + widths + "\n    }\n  }"
+        widths = {label: "null" if c is None else "%r" for label, c in zip(labels, cells)}
+        return _layout({"heading_deg": "%r", "widths_m": widths}, "  ")
 
-    full = template([0.0] * len(keys))
+    full = template([0.0] * len(labels))
     for i, (heading, row) in enumerate(rows):
         row, widths = printable_widths(row, spec)
         text = (full if widths is row else template(row)) % (
             heading, *[float(spec % w) for w in widths]
         )
-        yield ("[\n" if i == 0 else ",\n") + text
-    yield "\n]\n"
+        yield (_ROWS_NEXT if i else _ROWS_OPEN) + text
+    yield _ROWS_CLOSE

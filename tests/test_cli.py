@@ -657,6 +657,33 @@ def test_unwritable_stdout_exits_2(command):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["plan"], 2),
+        (["width-table", "--format", "json"], 2),
+        (["plan", "--out", "OUT"], 2),  # the summary line goes to stdout
+        (["verify", "PLAN", "--out", "OUT"], 0),
+        (["plot-data", "--out", "OUT"], 0),
+    ],
+)
+def test_closed_stdout_exits_as_a_full_one(argv, code, tmp_path):
+    # the child starts with fd 1 closed, so its sys.stdout is None
+    plan = str(tmp_path / "plan.csv")
+    assert main(["plan", "--out", plan]) == 0
+    swaps = {"PLAN": plan, "OUT": str(tmp_path / "out.txt")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "swathplan", *[swaps.get(arg, arg) for arg in argv]],
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("error:") == (code == 2), proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_module_entrypoint_smoke():
     proc = run_cli("width-table")
     assert proc.returncode == 0

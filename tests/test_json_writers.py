@@ -3,13 +3,15 @@
 Each writer is held, over drawn scenarios and hand-built plans, to the
 document builder it replaced (``oracles.py``): JSON output must equal the
 indented dump of that document byte for byte, and CSV output the text of
-the three-call-per-row writer.
+the three-call-per-row writer. The layout rule the templates are built
+from is held to ``json.dumps(doc, indent=2)`` on drawn nested documents.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import string
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +25,7 @@ from oracles import (
 
 from swathplan.errors import PlanningError
 from swathplan.geometry import TransducerSpec, swath_cross_section
-from swathplan.jsonwriter import plot_data_json, width_rows_json
+from swathplan.jsonwriter import _layout, plot_data_json, width_rows_json
 from swathplan.planfile import (
     NonFiniteOutputError,
     sig_spec,
@@ -81,6 +83,31 @@ PLACEMENTS = st.lists(
     ),
     max_size=8,
 )
+
+
+# nested dicts and lists, empty ones at any depth, over every kind of JSON leaf
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats())
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(string.ascii_letters + string.digits + "_.+-"), inner, max_size=4),
+    ),
+)
+
+
+def _shape(doc):
+    """The document with each leaf as its JSON text."""
+    if isinstance(doc, dict):
+        return {key: _shape(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_shape(item) for item in doc]
+    return json.dumps(doc)
+
+
+@given(DOCUMENTS)
+def test_layout_is_the_indented_dump(doc):
+    assert _layout(_shape(doc), "") == json.dumps(doc, indent=2)
 
 
 @settings(deadline=None, max_examples=60)
