@@ -228,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except PlanningError as err:
         print(f"error: {err}", file=sys.stderr)
-        partial = getattr(err, "partial_plan", None)
+        partial = err.partial_plan
         if partial is not None:
             print(f"partial plan ({partial.line_count} lines):", file=sys.stderr)
             for p in partial.placements:

@@ -11,9 +11,7 @@ class PlanningError(Exception):
     failure happened before any line was placed.
     """
 
-    def __init__(self, message: str, partial_plan=None):
-        super().__init__(message)
-        self.partial_plan = partial_plan
+    partial_plan = None
 
 
 class SurfacedSeabedError(PlanningError):

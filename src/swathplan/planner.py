@@ -124,34 +124,6 @@ def swath_at(region: SurveyRegion, xdcr: TransducerSpec, x: float) -> SwathCross
     return swath_cross_section(depth_at_x(region, x), region.slope_alpha, xdcr)
 
 
-def first_line_position(region: SurveyRegion, xdcr: TransducerSpec) -> float:
-    """x of the westmost line: its deep edge must land on the west boundary.
-
-    The deep edge sits kd * cos(alpha) * depth(x) west of the line, with kd
-    the deep half-width at unit depth, so x = kd * cos(alpha) * depth(x)
-    solves to
-
-        x0 = D_w * kd * cos(alpha) / (1 + kd * cos(alpha) * tan(alpha)).
-
-    The returned position keeps the deep edge at or a hair west of the
-    boundary (never short of it).
-
-    Raises NoFeasibleStartError when x0 lies east of the region's east edge.
-    """
-    a = math.radians(region.slope_alpha)
-    ca = math.cos(a)
-    k_proj = swath_cross_section(1.0, region.slope_alpha, xdcr).half_deep * ca
-    x = region.west_edge_depth * k_proj / (1.0 + k_proj * math.tan(a))
-    if x > region.width_ew:
-        raise NoFeasibleStartError(
-            f"no feasible start: a line at x = {region.width_ew:.3f} m still reaches "
-            "past the west boundary"
-        )
-    while x - swath_at(region, xdcr, x).half_deep * ca > 0.0:
-        x = math.nextafter(x, -math.inf)
-    return x
-
-
 def _line_count(
     region: SurveyRegion, unit: SwathCrossSection, free: float, x0: float
 ) -> int | float:
@@ -215,13 +187,26 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         unit = swath_cross_section(1.0, region.slope_alpha, xdcr)
         # the part of the unit-depth width K that the target leaves unshared
         free = (1.0 - eta_target) * unit.total_width
-        x = first_line_position(region, xdcr)
+        # The first line's deep edge sits k * depth(x) west of it, with
+        # k = k_d * cos(alpha) and k_d the deep half-width at unit depth, so
+        # pinning that edge to the west boundary (x = k * depth(x)) gives
+        #
+        #     x0 = D_w * k / (1 + k * tan(alpha)).
+        k = unit.half_deep * ca
+        x = region.west_edge_depth * k / (1.0 + k * ta)
+        if x > region.width_ew:
+            raise NoFeasibleStartError(
+                f"no feasible start: a line at x = {region.width_ew:.3f} m still reaches "
+                "past the west boundary"
+            )
+        # nudge west by ulps until the deep edge is at or west of the boundary
+        while x - (section := swath_at(region, xdcr, x)).half_deep * ca > 0.0:
+            x = math.nextafter(x, -math.inf)
         if (count := _line_count(region, unit, free, x)) > MAX_LINES:
             raise PlanningError(
                 f"too many lines: the plan needs {float(count):.4g} lines, "
                 f"more than the {MAX_LINES:,} allowed"
             )
-        section = swath_at(region, xdcr, x)
         placements.append(LinePlacement(x, section.total_width, None))
         # until a line's horizontal shallow edge reaches the east boundary
         while x + section.half_shallow * ca < region.width_ew:

@@ -59,7 +59,7 @@ class VerificationResult(NamedTuple):
 
 
 def _depths_and_reaches(region: SurveyRegion, xdcr: TransducerSpec, xs: list) -> tuple:
-    """Depths D under lines at xs, tan(alpha), and the fan's deep and shallow reach.
+    """Depths D under lines at xs and the fan's deep and shallow reach.
 
     D(x) = west-edge depth - x * tan(alpha), and a line at x insonifies
     [x - D * deep reach, x + D * shallow reach]. Dry bed under an x raises.
@@ -76,7 +76,7 @@ def _depths_and_reaches(region: SurveyRegion, xdcr: TransducerSpec, xs: list) ->
         if depth <= 0.0:
             raise SurfacedSeabedError(f"surfaced seabed: depth {depth:.3f} m at x = {x:.3f} m")
     th = math.tan(math.radians(half))
-    return depths, ta, th / (1.0 - th * ta), th / (1.0 + th * ta)
+    return depths, th / (1.0 - th * ta), th / (1.0 + th * ta)
 
 
 def rasterize_coverage(
@@ -98,7 +98,7 @@ def rasterize_coverage(
     error within half the slack.
     """
     xs = [p.x for p in plan.placements]
-    depths, _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
+    depths, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
     narrowest = min(depths, default=math.inf) * (reach_deep + reach_shallow)
     width = region.width_ew
     target = max(min(COARSEST_CELL_M, 0.5 * RATIO_SLACK * narrowest), width * 2.0**-52)

@@ -62,9 +62,10 @@ def brute_force_next_line(
         raise ValueError(f"scan step must be positive, got {step}")
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    (depth_prev,), ta, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x_prev])
+    (depth_prev,), reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x_prev])
+    a = math.radians(region.slope_alpha)
     # the planner spaces lines on bed-measured widths: footprints over cos(alpha)
-    k_width = (reach_deep + reach_shallow) / math.cos(math.radians(region.slope_alpha))
+    k_width = (reach_deep + reach_shallow) / math.cos(a)
     w_prev = depth_prev * k_width
     n = int(math.floor(w_prev / step + 1e-12))
     if n < 1:
@@ -73,7 +74,7 @@ def brute_force_next_line(
             f"{w_prev:g} m bracket"
         )
     xs = x_prev + np.arange(1, n + 1) * step
-    depths = depth_prev - (xs - x_prev) * ta
+    depths = depth_prev - (xs - x_prev) * math.tan(a)
     widths = depths * k_width
     etas = 1.0 - (xs - x_prev) / (0.5 * (w_prev + widths))
     hits = np.nonzero((depths > 0.0) & (etas >= eta_target))[0]

@@ -411,6 +411,20 @@ def test_plan_infeasible_start_exits_1(capsys):
     assert "no feasible start" in err
 
 
+def test_plan_stalled_placement_exits_1():
+    # the east edge of this bed lies about 1e-9 m deep; placement stalls there
+    proc = run_cli(
+        "plan", "--alpha-deg", "20", "--eta", "0.9",
+        "--region-ew-nm", "5.399568034557236", "--center-depth-m", "1819.8511713320117",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: region exhausted: placement stalled at x = 10000.000 m"]
+    assert "partial plan (83 lines):" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --------------------------------------------------------------------- verify
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import string
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,8 +24,9 @@ from oracles import (
     width_rows_document,
 )
 
+from swathplan import planner
 from swathplan.errors import PlanningError
-from swathplan.geometry import TransducerSpec, swath_cross_section
+from swathplan.geometry import TransducerSpec
 from swathplan.jsonwriter import _layout, plot_data_json, width_rows_json
 from swathplan.planfile import (
     NonFiniteOutputError,
@@ -37,13 +39,11 @@ from swathplan.planner import (
     LinePlacement,
     SurveyPlan,
     SurveyRegion,
-    _line_count,
-    first_line_position,
     plan_survey,
 )
 
 PRECISIONS = st.one_of(st.integers(1, 17), st.just(767))
-# drawn plans stay below this many lines, by the planner's closed-form count
+# drawn plans stay at or below this many lines: the planner refuses longer ones
 LINE_CAP = 30_000
 
 
@@ -64,10 +64,8 @@ def scenarios(draw):
     xdcr = TransducerSpec(draw(st.floats(30.0, 150.0)))
     region = SurveyRegion(width, length, depth, alpha)
     try:
-        unit = swath_cross_section(1.0, alpha, xdcr)
-        free = (1.0 - eta) * unit.total_width
-        assume(_line_count(region, unit, free, first_line_position(region, xdcr)) <= LINE_CAP)
-        return region, plan_survey(region, xdcr, eta)
+        with mock.patch.object(planner, "MAX_LINES", LINE_CAP):
+            return region, plan_survey(region, xdcr, eta)
     except PlanningError:
         assume(False)
 

@@ -20,7 +20,6 @@ from swathplan.planner import (
     SurveyRegion,
     _line_count,
     depth_at_x,
-    first_line_position,
     plan_survey,
     swath_at,
 )
@@ -68,21 +67,21 @@ def test_swath_at_uses_the_cross_track_dip(region, xdcr):
     assert section.total_width == pytest.approx(632.22214, abs=1e-3)
 
 
-def test_first_line_position_default(region, xdcr):
-    x1 = first_line_position(region, xdcr)
+def test_first_line_default(region, xdcr):
+    x1 = plan_survey(region, xdcr, 0.10).placements[0].x
     assert x1 == pytest.approx(358.52179264210827, abs=1e-6)
     # deep edge pinned to the west boundary, never short of it
     proj_deep = swath_at(region, xdcr, x1).half_deep * math.cos(math.radians(region.slope_alpha))
     assert 0.0 <= proj_deep - x1 < 1e-6
 
 
-def test_first_line_position_flat(xdcr):
-    x1 = first_line_position(FLAT_110, xdcr)
+def test_first_line_flat(xdcr):
+    x1 = plan_survey(FLAT_110, xdcr, 0.10).placements[0].x
     assert x1 == pytest.approx(110.0 * math.tan(math.radians(60.0)), rel=1e-12)
     assert x1 == pytest.approx(190.52558883257643, rel=1e-12)
 
 
-def test_first_line_position_against_grid_scan(region):
+def test_first_line_against_grid_scan(region):
     """Solve x = proj_deep(x) for a 90 deg fan by brute grid scan.
 
     The scan shares no code with the closed form: footprints come from a
@@ -99,15 +98,17 @@ def test_first_line_position_against_grid_scan(region):
     crossing = xs - depths * proj  # negative west of the root
     scan_root = float(xs[np.searchsorted(crossing >= 0.0, True)])
 
-    assert first_line_position(region, xdcr90) == pytest.approx(scan_root, abs=1e-3)
+    x1 = plan_survey(region, xdcr90, 0.10).placements[0].x
+    assert x1 == pytest.approx(scan_root, abs=1e-3)
 
 
-def test_first_line_position_infeasible_when_capped(region, xdcr):
+def test_first_line_infeasible_when_capped(region, xdcr):
     narrow = SurveyRegion(
         width_ew=10.0, length_ns=region.length_ns, center_depth=110.0, slope_alpha=1.5
     )
-    with pytest.raises(NoFeasibleStartError, match="no feasible start"):
-        first_line_position(narrow, xdcr)
+    with pytest.raises(NoFeasibleStartError, match="no feasible start") as exc:
+        plan_survey(narrow, xdcr, 0.10)
+    assert exc.value.partial_plan is None
 
 
 def test_next_line_overlap_never_undershoots(region, xdcr):
@@ -144,6 +145,20 @@ def test_next_line_exhausts_on_surfacing_bed(xdcr):
     with pytest.raises(RegionExhaustedError, match="before the overlap can drop to 0.1") as exc:
         plan_survey(steep, xdcr, 0.10)
     assert exc.value.partial_plan.line_count == 1
+
+
+def test_next_line_stalls_over_a_nearly_dry_east_edge(xdcr):
+    # the east edge lies about 1e-9 m deep: a 0.9 target shrinks the step
+    # toward nothing, and placement stops instead of running on
+    dry_east = SurveyRegion(
+        width_ew=5.399568034557236 * 1852.0,
+        length_ns=3704.0,
+        center_depth=1819.8511713320117,
+        slope_alpha=20.0,
+    )
+    with pytest.raises(RegionExhaustedError, match="placement stalled at x = 10000.000 m") as exc:
+        plan_survey(dry_east, xdcr, 0.9)
+    assert exc.value.partial_plan.line_count == 83
 
 
 def test_plan_survey_default_scenario(reference_plan, region):

@@ -92,7 +92,7 @@ def test_rasterize_ratio_converges_with_resolution(reference_plan, region, xdcr)
 
 def _footprint(region, xdcr, x):
     """(west end, east end) of the footprint of a line at x, from the verifier's model."""
-    (depth,), _, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x])
+    (depth,), reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x])
     return x - depth * reach_deep, x + depth * reach_shallow
 
 
