@@ -12,7 +12,8 @@ import errno
 import io
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 from typing import Any
 
 from .config import ConfigError, ScenarioConfig, load_config
@@ -21,6 +22,7 @@ from .geometry import width_table
 from .planfile import (
     NonFiniteOutputError,
     PlanParseError,
+    WidthText,
     plan_summary,
     read_plan,
     width_rows_csv,
@@ -117,25 +119,103 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
 
 
+# About this many cells make one stripe of width-table headings (8 rows of a
+# 1,000-distance grid): the unit the two processes take turns on.
+STRIPE_CELLS = 8_000
+
+
 def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Swath width per (heading, distance) cell; failed cells print as ERR/null.
 
-    Rows are computed and written one heading at a time, so memory holds one
-    row however large the grid.
+    The headings are cut into stripes of consecutive rows, about
+    ``STRIPE_CELLS`` cells each. When the grid holds more than one stripe and
+    the platform can fork, one forked worker computes and formats the odd
+    stripes while this process computes the even ones; this process writes
+    every row in order, one row per write. Each process holds about one
+    stripe however large the grid, and the output is the bytes one process
+    alone would write. A one-stripe grid runs the same loop with no worker.
     """
-    distances_m = [d * METERS_PER_NAUTICAL_MILE for d in cfg.distances_nm]
-    rows = (
-        (heading, width_table(cfg.seabed, cfg.transducer, [heading], distances_m)[0])
-        for heading in cfg.headings_deg
-    )
     if cfg.format == "json":
         from .jsonwriter import width_rows_json  # only JSON output compiles the templates
 
-        chunks = width_rows_json(rows, cfg.distances_nm, cfg.precision)
+        text = width_rows_json(cfg.distances_nm, cfg.precision)
     else:
-        chunks = width_rows_csv(rows, cfg.distances_nm, cfg.precision)
-    _emit(chunks, args.out)
+        text = width_rows_csv(cfg.distances_nm, cfg.precision)
+    chunks = _width_chunks(cfg, text)
+    try:
+        _emit(chunks, args.out)
+    finally:
+        chunks.close()  # reaps the worker however the writing ended
     return 0
+
+
+def _width_chunks(cfg: ScenarioConfig, text: WidthText) -> Iterator[str]:
+    """The head, each row's text in heading order, then the tail."""
+    head, row_text, tail = text
+    headings = cfg.headings_deg
+    distances_m = [d * METERS_PER_NAUTICAL_MILE for d in cfg.distances_nm]
+    size = max(1, STRIPE_CELLS // len(distances_m))
+    starts = range(0, len(headings), size)
+
+    def stripe(start: int) -> list[str]:
+        # a heading at a time, so one row of widths is held besides the texts
+        return [
+            row_text(i, h, width_table(cfg.seabed, cfg.transducer, [h], distances_m)[0])
+            for i, h in enumerate(headings[start : start + size], start)
+        ]
+
+    pid = 0  # no worker
+    if len(starts) > 1 and hasattr(os, "fork"):
+        pid, pipe = _fork_worker(stripe, starts[1::2])
+    try:
+        yield head
+        for n, start in enumerate(starts):
+            if n % 2 and pid:
+                for heading in headings[start : start + size]:
+                    yield _received(pipe, heading)
+            else:
+                yield from stripe(start)
+        yield tail
+    finally:
+        if pid:
+            pipe.close()  # a worker still writing stops at EPIPE
+            os.waitpid(pid, 0)
+
+
+def _fork_worker(
+    stripe: Callable[[int], list[str]], starts: range
+) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that sends the rows of each stripe in ``starts`` down a pipe.
+
+    Each row goes as the length of its UTF-8 text (8 bytes, little-endian),
+    then the text. Returns the worker's pid and the pipe's read end.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker prints nothing and ends here on every path
+        code = 1
+        try:
+            os.close(read_fd)
+            for start in starts:
+                texts = [text.encode() for text in stripe(start)]
+                data = memoryview(b"".join(len(t).to_bytes(8, "little") + t for t in texts))
+                while data:
+                    data = data[os.write(write_fd, data) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _received(pipe: io.BufferedReader, heading: float) -> str:
+    """The next row the worker sent; ChildProcessError if it ended first."""
+    prefix = pipe.read(8)
+    size = int.from_bytes(prefix, "little")
+    data = pipe.read(size) if len(prefix) == 8 else b""
+    if not data or len(data) < size:  # no row's text is empty
+        raise ChildProcessError(f"the width-table worker ended before heading {heading!r}")
+    return data.decode()
 
 
 def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
@@ -156,6 +236,12 @@ def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     return 0
 
 
+# Findings per write of a verify report: a write per line would be a system
+# call per finding on unbuffered output, one write of all of them a copy of
+# the whole report.
+REPORT_BATCH = 1_000
+
+
 def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
     from .verifier import verify_plan  # a few ms to load, so only this subcommand pays
@@ -167,16 +253,20 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         raise PlanParseError(f"cannot read plan file: {err}") from err
     plan = read_plan(text, cfg.region)
     result = verify_plan(plan, cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max)
-    lines = [f"finding: {finding}" for finding in result.findings]
+    findings = result.findings
     if result.passed:
-        lines.append(
+        verdict = (
             f"PASS: {plan.line_count} lines cover the region; "
             f"{len(result.report.pairwise_overlap_ratios)} adjacent pairs inside "
-            f"[{cfg.eta_min:g}, {cfg.eta_max:g}] with slack"
+            f"[{cfg.eta_min:g}, {cfg.eta_max:g}] with slack\n"
         )
     else:
-        lines.append(f"FAIL: {len(result.findings)} finding(s)")
-    _emit(["\n".join(lines) + "\n"], args.out)
+        verdict = f"FAIL: {len(findings)} finding(s)\n"
+    batches = (
+        "".join([f"finding: {finding}\n" for finding in findings[i : i + REPORT_BATCH]])
+        for i in range(0, len(findings), REPORT_BATCH)
+    )
+    _emit(chain(batches, [verdict]), args.out)
     return 0 if result.passed else 1
 
 

@@ -9,10 +9,8 @@ commands that write JSON import this module.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from .config import ConfigError
-from .planfile import RATIO_DECIMALS, WidthRows, finite_texts, printable_widths, sig_spec
+from .planfile import RATIO_DECIMALS, WidthText, finite_texts, printable_widths, sig_spec
 from .planner import SurveyPlan, SurveyRegion, depth_at_x
 
 
@@ -126,12 +124,13 @@ def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> str:
     return _SCENE_HEAD % scene + _layout(lines, "  ") + _SCENE_TAIL
 
 
-def width_rows_json(rows: WidthRows, distances_nm: list[float], sig: int) -> Iterator[str]:
-    """JSON text of the (heading, widths) rows, one heading at a time.
+def width_rows_json(distances_nm: list[float], sig: int) -> WidthText:
+    """JSON text of a width table, one heading at a time.
 
-    The chunks join to what ``json.dumps(doc, indent=2)`` gives for the list
-    of ``{"heading_deg", "widths_m"}`` objects, the printed distances keying
-    the widths. A width that cannot print (``printable_widths``) is null.
+    The head, the rows' texts in order and the tail join to what
+    ``json.dumps(doc, indent=2)`` gives for the list of ``{"heading_deg",
+    "widths_m"}`` objects, the printed distances keying the widths. A width
+    that cannot print (``printable_widths``) is null.
 
     Raises ConfigError, before any text is made, when two distances print
     alike, since they would share one key.
@@ -146,19 +145,18 @@ def width_rows_json(rows: WidthRows, distances_nm: list[float], sig: int) -> Ite
                 f"{label!r}, and JSON width keys must differ"
             )
         first_with[label] = dist
-    return _width_chunks(rows, labels, spec)
 
-
-def _width_chunks(rows: WidthRows, labels: list[str], spec: str) -> Iterator[str]:
     def template(cells: list[float | None]) -> str:
         widths = {label: "null" if c is None else "%r" for label, c in zip(labels, cells)}
         return _layout({"heading_deg": "%r", "widths_m": widths}, "  ")
 
     full = template([0.0] * len(labels))
-    for i, (heading, row) in enumerate(rows):
+
+    def row_text(i: int, heading: float, row: list[float | None]) -> str:
         row, widths = printable_widths(row, spec)
         text = (full if widths is row else template(row)) % (
             heading, *[float(spec % w) for w in widths]
         )
-        yield (_ROWS_NEXT if i else _ROWS_OPEN) + text
-    yield _ROWS_CLOSE
+        return (_ROWS_NEXT if i else _ROWS_OPEN) + text
+
+    return "", row_text, _ROWS_CLOSE

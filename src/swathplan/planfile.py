@@ -8,14 +8,15 @@ text comes from the fixed templates in ``jsonwriter``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable
 
 from .planner import LinePlacement, SurveyPlan, SurveyRegion
 
 PLAN_CSV_HEADER = "x_m,overlap_prev,width_m"
 RATIO_DECIMALS = 5
-# (heading, widths) per row of a width table; None where no width was computed
-WidthRows = Iterable[tuple[float, list[float | None]]]
+# A width table's text: its head, the text of row i from (i, heading, widths)
+# with None where no width was computed, and its tail
+WidthText = tuple[str, Callable[[int, float, list[float | None]], str], str]
 # No double has more than 767 significant digits and %g drops trailing zeros,
 # so a larger precision prints the same text, only from a bigger buffer.
 MAX_SIG_DIGITS = 767
@@ -67,9 +68,19 @@ def plan_summary(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> dict[str,
         ("d1_m", edge_offset_d1),
     ]
     if plan.placements:
-        xs, widths, _ = zip(*plan.placements)
-        fields += [("x_m", min(xs)), ("x_m", max(xs))]
-        fields += [("width_m", min(widths)), ("width_m", max(widths))]
+        # one pass, with no column copied out of the plan
+        x_lo = x_hi = plan.placements[0].x
+        w_lo = w_hi = plan.placements[0].swath_width
+        for x, width, _ in plan.placements:
+            if x < x_lo:
+                x_lo = x
+            elif x > x_hi:
+                x_hi = x
+            if width < w_lo:
+                w_lo = width
+            elif width > w_hi:
+                w_hi = width
+        fields += [("x_m", x_lo), ("x_m", x_hi), ("width_m", w_lo), ("width_m", w_hi)]
     total, length, d1, *_ = finite_texts(fields, sig)
     return dict(lines=str(plan.line_count), total_track_nm=total, line_length_m=length, d1_m=d1)
 
@@ -112,18 +123,20 @@ def printable_widths(
     return row, [w for w in row if w is not None]
 
 
-def width_rows_csv(rows: WidthRows, distances_nm: list[float], sig: int) -> Iterator[str]:
-    """CSV text of the (heading, widths) rows: the header, then one % operation per row."""
+def width_rows_csv(distances_nm: list[float], sig: int) -> WidthText:
+    """CSV text of a width table: the header, then one % operation per row."""
     spec = sig_spec(sig)
     full_row = ",".join([spec] * len(distances_nm))
-    yield "heading_deg," + ",".join([spec % d for d in distances_nm]) + "\n"
-    for heading, row in rows:
+
+    def row_text(i: int, heading: float, row: list[float | None]) -> str:
         row, widths = printable_widths(row, spec)
         if widths is row:
             template = full_row
         else:
             template = ",".join("ERR" if w is None else spec for w in row)
-        yield spec % heading + "," + template % tuple(widths) + "\n"
+        return spec % heading + "," + template % tuple(widths) + "\n"
+
+    return "heading_deg," + ",".join([spec % d for d in distances_nm]) + "\n", row_text, ""
 
 
 def _parse_float(text: str, where: str) -> float:

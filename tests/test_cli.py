@@ -9,16 +9,20 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from swathplan.cli import main
+from swathplan.cli import STRIPE_CELLS, _width_chunks, main
+from swathplan.config import load_config
 from swathplan.errors import PlanningError
 from swathplan.geometry import PlanarSeabed, TransducerSpec, swath_cross_section, width_table
+from swathplan.jsonwriter import width_rows_json
+from swathplan.planfile import width_rows_csv
 from swathplan.planner import METERS_PER_NAUTICAL_MILE
 
 
@@ -355,6 +359,137 @@ def test_width_table_json_memory_stays_flat(tmp_path, cli_peak_rss_kib):
     assert kib - floor_kib <= 4 * 1024, (kib, floor_kib)
 
 
+# ------------------------------------------------- width-table stripes and worker
+
+
+def _stripe_config(headings: list[float], n_distances: int, first: int, sig: int) -> dict:
+    """A width-table config on a 45 deg bed, where heading 90 grazes (an
+    all-ERR row) and up- and downhill rows surface past 0.065 NM (ERR cells).
+    Its distances step by 1e-4 NM from ``first`` of those steps, so at 4 or
+    more digits no two print alike."""
+    return {
+        "seabed": {"reference_depth_m": 120.0, "slope_alpha_deg": 45.0},
+        "transducer": {"opening_angle_deg": 120.0},
+        "headings_deg": headings,
+        "distances_nm": [round((first + k) * 1e-4, 4) for k in range(n_distances)],
+        "precision": sig,
+    }
+
+
+@st.composite
+def stripe_grids(draw):
+    """Width-table configs whose grids hold one stripe, or many with the last
+    one partial or whole."""
+    n_distances = draw(
+        st.one_of(st.integers(1, 40), st.integers(900, 2700), st.just(STRIPE_CELLS + 1))
+    )
+    size = max(1, STRIPE_CELLS // n_distances)
+    heading = st.one_of(
+        st.sampled_from([0.0, 90.0, 180.0]), st.floats(0.0, 360.0, exclude_max=True)
+    )
+    headings = draw(st.lists(heading, min_size=1, max_size=min(4 * size + 1, 40)))
+    first, sig = draw(st.integers(-3000, 500)), draw(st.integers(4, 17))
+    return _stripe_config(headings, n_distances, first, sig)
+
+
+def _width_writes(config: dict, fmt: str) -> list[str]:
+    """The writes of a width table made here, in one process: the head, each
+    row of ``width_table`` over every heading, then the tail."""
+    writer = width_rows_json if fmt == "json" else width_rows_csv
+    head, row_text, tail = writer(config["distances_nm"], config["precision"])
+    grid = width_table(
+        PlanarSeabed(120.0, 45.0),
+        TransducerSpec(120.0),
+        config["headings_deg"],
+        [d * METERS_PER_NAUTICAL_MILE for d in config["distances_nm"]],
+    )
+    rows = [row_text(i, h, row) for i, (h, row) in enumerate(zip(config["headings_deg"], grid))]
+    return [head, *rows, tail]
+
+
+@settings(deadline=None, max_examples=20)
+@given(stripe_grids())
+@example(_stripe_config([0.0, 90.0, 180.0], 8, -500, 6))  # one stripe
+@example(_stripe_config([float(h) for h in range(0, 190, 10)], 1000, -800, 6))  # 8, 8, 3 rows
+@example(_stripe_config([float(h) for h in range(0, 160, 10)], 1000, -800, 17))  # 8 and 8 rows
+@example(_stripe_config([0.0, 90.0, 180.0], STRIPE_CELLS + 1, -3000, 4))  # a row per stripe
+def test_width_table_stripes_print_what_one_process_prints(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        for fmt in ("csv", "json"):
+            expected = _width_writes(config, fmt)
+            argv = ["width-table", "--config", str(path), "--format", fmt]
+            stdout = _ChunkRecorder()
+            with redirect_stdout(stdout), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 0
+            assert stdout.chunks == expected  # one row per write, in heading order
+            assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+            out = Path(tmp) / f"grid.{fmt}"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == "".join(expected)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 20 headings of 1,000 cells: three stripes, the middle one the worker's
+WORKER_GRID = {"headings_deg": [float(h) for h in range(20)],
+               "distances_nm": [0.003 * i for i in range(1000)]}
+WORKER_GRID_FLAGS = ["--headings-deg", ",".join(map(repr, WORKER_GRID["headings_deg"])),
+                     "--distances-nm", ",".join(map(repr, WORKER_GRID["distances_nm"]))]
+
+
+def test_width_table_worker_is_reaped_when_the_rows_stop():
+    cfg = load_config(None, WORKER_GRID)
+    chunks = _width_chunks(cfg, width_rows_csv(cfg.distances_nm, cfg.precision))
+    assert next(chunks).startswith("heading_deg,")
+    assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # the worker runs
+    chunks.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_width_table_without_fork_prints_the_same(monkeypatch, capsys):
+    assert main(["width-table", *WORKER_GRID_FLAGS]) == 0
+    forked = capsys.readouterr().out
+    monkeypatch.delattr(os, "fork")  # as on a platform that cannot fork
+    assert main(["width-table", *WORKER_GRID_FLAGS]) == 0
+    assert capsys.readouterr().out == forked
+
+
+class _PipeClosedAfterOneWrite(_ChunkRecorder):
+    """A stdout whose reader goes away after the first write."""
+
+    def write(self, text):
+        if self.chunks:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_width_table_closed_pipe_reaps_the_worker(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _PipeClosedAfterOneWrite())
+    assert main(["width-table", *WORKER_GRID_FLAGS]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_width_table_worker_failure_exits_2(monkeypatch, capsys):
+    def failing(seabed, xdcr, headings, distances):
+        if 10.0 in headings:  # in the second stripe, which the worker computes
+            raise ValueError("no width here")
+        return width_table(seabed, xdcr, headings, distances)
+
+    monkeypatch.setattr("swathplan.cli.width_table", failing)
+    assert main(["width-table", *WORKER_GRID_FLAGS]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the width-table worker ended before heading 8.0\n"
+    assert len(captured.out.splitlines()) == 1 + 8  # the header and the first stripe
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_width_table_rejects_bad_list():
     proc = run_cli("width-table", "--headings-deg", "0,abc")
     assert proc.returncode == 2
@@ -531,6 +666,23 @@ def test_verify_out_writes_the_report(tmp_path, capsys):
         assert capsys.readouterr().out == ""
         assert report.read_text(encoding="utf-8") == expected
     assert expected.startswith("finding: uncovered interval")
+
+
+def test_verify_writes_findings_a_batch_at_a_time(tmp_path, monkeypatch):
+    # 2,500 lines on one spot: a finding for each of the 2,499 pairs, and gaps
+    plan = tmp_path / "stacked.csv"
+    plan.write_text("x_m,overlap_prev,width_m\n100,,50\n" + "100,0.5,50\n" * 2499,
+                    encoding="utf-8")
+    stdout = _ChunkRecorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["verify", str(plan)]) == 1
+    lines = stdout.getvalue().splitlines()
+    assert lines[-1] == f"FAIL: {len(lines) - 1} finding(s)"
+    assert all(line.startswith("finding: ") for line in lines[:-1])
+    findings = len(lines) - 1
+    assert findings > 2000
+    batches = [1000] * (findings // 1000) + [findings % 1000] * (findings % 1000 > 0)
+    assert [chunk.count("\n") for chunk in stdout.chunks] == [*batches, 1]
 
 
 @pytest.mark.parametrize(
@@ -912,14 +1064,18 @@ def _modules_loaded(*argv: str) -> set[str]:
 
 # No launch needs numpy or the dataclass machinery. A launch from flags alone
 # reads no JSON document, and every writer prints JSON from fixed templates.
+# The width-table worker is a bare fork, with no process or pool library.
 NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy"}
+WIDTH_TABLE_LOADS_NONE_OF = NEVER_LOADED | {"json", "multiprocessing", "concurrent", "subprocess"}
 LAUNCH_IMPORTS = [
     (["plan", "--out", "PLAN"], NEVER_LOADED | {"json"}),
     (["plan", "--alpha-deg", "1.2", "--eta", "0.2"], NEVER_LOADED | {"json"}),
     (["plan", "--format", "json"], NEVER_LOADED | {"json"}),
     (["verify", "PLAN"], NEVER_LOADED),
-    (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], NEVER_LOADED | {"json"}),
-    (["width-table", "--format", "json"], NEVER_LOADED | {"json"}),
+    (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], WIDTH_TABLE_LOADS_NONE_OF),
+    (["width-table", "--format", "json"], WIDTH_TABLE_LOADS_NONE_OF),
+    # three stripes, so the worker runs
+    (["width-table", *WORKER_GRID_FLAGS], WIDTH_TABLE_LOADS_NONE_OF),
     (["plot-data"], NEVER_LOADED | {"json"}),
 ]
 

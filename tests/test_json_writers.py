@@ -133,6 +133,12 @@ def test_plan_writers_match_on_hand_built_plans(placements, length, d1, sig):
     assert write_plan_csv(plan, d1, sig) == plan_csv_text(plan, d1, sig)
 
 
+def _width_json(rows, distances, sig) -> str:
+    """The JSON width table of the (heading, widths) rows, as one string."""
+    head, row_text, tail = width_rows_json(distances, sig)
+    return head + "".join(row_text(i, h, row) for i, (h, row) in enumerate(rows)) + tail
+
+
 @settings(deadline=None)
 @given(
     st.lists(
@@ -151,13 +157,13 @@ def test_width_rows_match_the_document_writer(rows, distances, sig):
     labels = [sig_spec(sig) % d for d in distances]
     assume(len(set(labels)) == len(labels))
     rows = [(heading, row[: len(labels)]) for heading, row in rows]
-    text = "".join(width_rows_json(rows, distances, sig))
+    text = _width_json(rows, distances, sig)
     assert text == _dump(width_rows_document(rows, labels, sig))
 
 
 def test_width_that_prints_past_the_float_range_is_null():
     # 1.7e308 rounds to "2e+308" at one digit, which JSON cannot hold
-    text = "".join(width_rows_json([(90.0, [1.7e308, 1.0])], [0.0, 1.0], 1))
+    text = _width_json([(90.0, [1.7e308, 1.0])], [0.0, 1.0], 1)
     assert json.loads(text) == [{"heading_deg": 90.0, "widths_m": {"0": None, "1": 1.0}}]
 
 
@@ -172,6 +178,10 @@ def test_width_that_prints_past_the_float_range_is_null():
         ([(1.7e308, 50.0)], 1.0, 1, "x_m"),
         ([(-1.7e308, 50.0)], 1.0, 1, "x_m"),
         ([(1.0, 1.7e308)], 1.0, 1, "width_m"),
+        # the extreme on a later line than the first
+        ([(100.0, 50.0), (1.7e308, 50.0)], 1.0, 1, "x_m"),
+        ([(100.0, 50.0), (-1.7e308, 50.0)], 1.0, 1, "x_m"),
+        ([(1.0, 50.0), (2.0, 1.7e308)], 1.0, 1, "width_m"),
     ],
 )
 def test_plan_writers_refuse_numbers_that_print_non_finite(writer, lines, length, sig, field):
