@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import io
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
-from typing import Any
+from typing import Any, NoReturn
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .errors import PlanningError
@@ -326,5 +327,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> NoReturn:
+    """Process entry of `python -m swathplan`, `python -m swathplan.cli` and
+    the `swathplan` script: run `main` on a frozen heap and exit with its status.
+
+    Freezing keeps every collection, the interpreter's last ones at shutdown
+    included, off the objects the imports built, which live until the process
+    ends anyway. The exit path is otherwise the normal one (atexit, the final
+    stdout flush and its error report). `main` itself never freezes: tests and
+    library callers run it in-process.
+    """
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -157,14 +157,15 @@ def _centers_below(x: float, resolution: float, n_cells: int, inclusive: bool) -
     """
     guess = min(max(x / resolution - 0.5, -1.0), n_cells)  # clamped first: floor(inf) raises
     k = min(math.floor(guess) + 1, n_cells)
-
-    def counted(i: int) -> bool:
-        center = (i + 0.5) * resolution
-        return center <= x if inclusive else center < x
-
-    while k > 0 and not counted(k - 1):
+    while k > 0:
+        center = (k - 1 + 0.5) * resolution
+        if center < x or (inclusive and center == x):
+            break
         k -= 1
-    while k < n_cells and counted(k):
+    while k < n_cells:
+        center = (k + 0.5) * resolution
+        if center > x or (center == x and not inclusive):
+            break
         k += 1
     return k
 
@@ -197,13 +198,21 @@ def verify_plan(
                 f"lines {i + 1}-{i + 2}: rasterized overlap {ratio:.5f} outside "
                 f"[{band_lo:.5f}, {band_hi:.5f}]"
             )
+    sloped, flat = region.slope_alpha > 0.0, region.slope_alpha == 0.0
+    # a finding's text is formatted only for a pair that has one
     for i, (west, east) in enumerate(zip(plan.placements, plan.placements[1:])):
-        pair = f"lines {i + 1}-{i + 2}"
         if not west.x < east.x:
-            findings.append(f"{pair}: not west to east ({west.x:.4f} -> {east.x:.4f} m)")
-        change = f"({west.swath_width:.4f} -> {east.swath_width:.4f} m)"
-        if region.slope_alpha > 0.0 and east.swath_width > west.swath_width:
-            findings.append(f"{pair}: width grows eastward {change}")
-        elif region.slope_alpha == 0.0 and east.swath_width != west.swath_width:
-            findings.append(f"{pair}: width not constant on a flat bed {change}")
+            findings.append(
+                f"lines {i + 1}-{i + 2}: not west to east ({west.x:.4f} -> {east.x:.4f} m)"
+            )
+        if sloped and east.swath_width > west.swath_width:
+            shape = "width grows eastward"
+        elif flat and east.swath_width != west.swath_width:
+            shape = "width not constant on a flat bed"
+        else:
+            continue
+        findings.append(
+            f"lines {i + 1}-{i + 2}: {shape} "
+            f"({west.swath_width:.4f} -> {east.swath_width:.4f} m)"
+        )
     return VerificationResult(passed=not findings, findings=tuple(findings), report=report)

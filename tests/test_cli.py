@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from swathplan import cli
 from swathplan.cli import STRIPE_CELLS, _width_chunks, main
 from swathplan.config import load_config
 from swathplan.errors import PlanningError
@@ -24,6 +26,8 @@ from swathplan.geometry import PlanarSeabed, TransducerSpec, swath_cross_section
 from swathplan.jsonwriter import width_rows_json
 from swathplan.planfile import width_rows_csv
 from swathplan.planner import METERS_PER_NAUTICAL_MILE
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -854,6 +858,41 @@ def test_module_entrypoint_smoke():
     proc = run_cli("width-table")
     assert proc.returncode == 0
     assert proc.stdout.startswith("heading_deg,")
+
+
+def test_run_calls_main_on_a_frozen_heap(monkeypatch):
+    frozen = []
+
+    def recording_main():
+        frozen.append(gc.get_freeze_count())
+        return 0
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+    finally:
+        gc.unfreeze()  # leave the test process's heap as it was
+    assert exit_.value.code == 0
+    assert len(frozen) == 1 and frozen[0] > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(["plan"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_cli_module_entrypoint():
+    # `python -m swathplan.cli` goes through run() as `python -m swathplan` does
+    argv = [sys.executable, "-m", "swathplan.cli", "plan"]
+    proc = subprocess.run(argv, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "plan.csv").read_bytes()
+    proc = subprocess.run([*argv, "--no-such-flag"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --no-such-flag" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_outputs_are_deterministic():
