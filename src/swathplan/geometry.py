@@ -114,8 +114,12 @@ def swath_cross_section(depth: float, gamma_deg: float, xdcr: TransducerSpec) ->
 
     Law-of-sines extents of the two half swaths, measured on the bed:
 
-        half_deep    = depth * sin(theta/2) / sin(90 - theta/2 - gamma)
-        half_shallow = depth * sin(theta/2) / sin(90 - theta/2 + gamma)
+        half_deep    = depth * (sin(theta/2) / sin(90 - theta/2 - gamma))
+        half_shallow = depth * (sin(theta/2) / sin(90 - theta/2 + gamma))
+
+    Each half is the depth times its unit-depth value, bit for bit: the
+    half at depth D equals D times the half that depth 1.0 returns, so a
+    caller may scale the unit-depth halves instead of calling again.
 
     Parameters
     ----------
@@ -144,8 +148,8 @@ def swath_cross_section(depth: float, gamma_deg: float, xdcr: TransducerSpec) ->
             f"{90.0 - half:.6g} deg limit for a {xdcr.opening_angle_theta:g} deg opening"
         )
     sin_half = math.sin(math.radians(half))
-    half_deep = depth * sin_half / math.sin(math.radians(90.0 - half - gamma_deg))
-    half_shallow = depth * sin_half / math.sin(math.radians(90.0 - half + gamma_deg))
+    half_deep = depth * (sin_half / math.sin(math.radians(90.0 - half - gamma_deg)))
+    half_shallow = depth * (sin_half / math.sin(math.radians(90.0 - half + gamma_deg)))
     return SwathCrossSection(
         local_depth=depth,
         half_deep=half_deep,

@@ -9,7 +9,10 @@ On this planar bed depth is affine in x and a swath's width and footprint
 are the depth times fixed factors, so both placement conditions (deep edge
 on the west boundary, target overlap with the previous line) are linear in
 x and solved in closed form. Each answer is then nudged west by a few ulps
-until the contract holds exactly when checked through ``swath_at``.
+until the contract holds exactly. The first line is checked through
+``swath_at``; every later line scales the unit-depth swath halves by its
+depth, which ``swath_cross_section`` guarantees gives the same floats, so
+a plan solves the law of sines a fixed few times, not once per line.
 """
 
 from __future__ import annotations
@@ -185,6 +188,7 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     placements: list[LinePlacement] = []
     try:
         unit = swath_cross_section(1.0, region.slope_alpha, xdcr)
+        k_d, k_s = unit.half_deep, unit.half_shallow
         # the part of the unit-depth width K that the target leaves unshared
         free = (1.0 - eta_target) * unit.total_width
         # The first line's deep edge sits k * depth(x) west of it, with
@@ -192,7 +196,7 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         # pinning that edge to the west boundary (x = k * depth(x)) gives
         #
         #     x0 = D_w * k / (1 + k * tan(alpha)).
-        k = unit.half_deep * ca
+        k = k_d * ca
         x = region.west_edge_depth * k / (1.0 + k * ta)
         if x > region.width_ew:
             raise NoFeasibleStartError(
@@ -207,9 +211,14 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
                 f"too many lines: the plan needs {float(count):.4g} lines, "
                 f"more than the {MAX_LINES:,} allowed"
             )
-        placements.append(LinePlacement(x, section.total_width, None))
-        # until a line's horizontal shallow edge reaches the east boundary
-        while x + section.half_shallow * ca < region.width_ew:
+        d, w = section.local_depth, section.total_width
+        placements.append(LinePlacement(x, w, None))
+        # Each line carries (x, d, w): its depth and its width d*k_d + d*k_s.
+        # swath_cross_section scales the unit halves the same way, so these
+        # are the floats swath_at(x) returns, bit for bit, without re-solving
+        # the law of sines. Place lines until one's horizontal shallow edge
+        # reaches the east boundary.
+        while x + d * k_s * ca < region.width_ew:
             # With width K * depth and depth falling by tan(alpha) per meter,
             # the overlap 1 - step / w_mean is linear in the step:
             #
@@ -223,23 +232,22 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
                     f"{region.west_edge_depth / ta:.3f} m "
                     f"before the overlap can drop to {eta_target:g}"
                 )
-            w_prev = section.total_width
-            x_next = x + free * section.local_depth / (1.0 + 0.5 * free * ta)
-            section = swath_at(region, xdcr, x_next)
+            x_next = x + free * d / (1.0 + 0.5 * free * ta)
+            d_next = depth_at_x(region, x_next)
+            w_next = d_next * k_d + d_next * k_s
             # nudge west by ulps until the achieved overlap never undershoots
-            while (
-                achieved := 1.0 - (x_next - x) / (0.5 * (w_prev + section.total_width))
-            ) < eta_target:
+            while (achieved := 1.0 - (x_next - x) / (0.5 * (w + w_next))) < eta_target:
                 x_next = math.nextafter(x_next, -math.inf)
-                section = swath_at(region, xdcr, x_next)
+                d_next = depth_at_x(region, x_next)
+                w_next = d_next * k_d + d_next * k_s
             # a target near 1 over a nearly dry east edge shrinks the step
             # below 1e-9 of x; stop here instead of placing billions of lines
             if x_next - x <= 1e-9 * max(1.0, x):
                 raise RegionExhaustedError(
                     f"region exhausted: placement stalled at x = {x:.3f} m"
                 )
-            placements.append(LinePlacement(x_next, section.total_width, achieved))
-            x = x_next
+            placements.append(LinePlacement(x_next, w_next, achieved))
+            x, d, w = x_next, d_next, w_next
     except PlanningError as err:
         if placements:
             err.partial_plan = SurveyPlan(tuple(placements), region.length_ns)

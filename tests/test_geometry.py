@@ -129,6 +129,29 @@ def test_flat_degeneration_over_random_inputs():
         assert section.total_width == pytest.approx(expected, rel=1e-12)
 
 
+def test_halves_are_depth_times_the_unit_depth_halves():
+    """Each half at depth D is D times the half at depth 1.0, bit for bit.
+
+    The planner scales the unit-depth halves instead of re-solving the law
+    of sines per line; this exactness keeps its widths equal to swath_at's.
+    """
+    rng = random.Random(2121)
+    checked = 0
+    for _ in range(2000):
+        gamma = rng.uniform(0.0, 20.0)
+        fan = TransducerSpec(rng.uniform(30.0, 160.0))
+        depth = 10.0 ** rng.uniform(-3.0, 5.0)
+        try:
+            unit = swath_cross_section(1.0, gamma, fan)
+        except BeamGrazeError:
+            continue
+        section = swath_cross_section(depth, gamma, fan)
+        assert section.half_deep == depth * unit.half_deep, (depth, gamma, fan)
+        assert section.half_shallow == depth * unit.half_shallow, (depth, gamma, fan)
+        checked += 1
+    assert checked >= 1800
+
+
 def test_cross_section_rejects_bad_depth(xdcr):
     with pytest.raises(InvalidDepthError, match="invalid depth"):
         swath_cross_section(0.0, 1.5, xdcr)
