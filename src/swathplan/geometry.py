@@ -97,16 +97,15 @@ def effective_slope(alpha_deg: float, beta_deg: float) -> float:
 
     Closed form:
 
-        cos(gamma) = cos(alpha) / sqrt(cos^2(alpha) + sin^2(beta) sin^2(alpha))
+        tan(gamma) = |sin(beta)| * tan(alpha)
 
     gamma runs from 0 (line straight up/downhill) to alpha (line along a
-    depth contour) and is symmetric under beta -> 360 - beta.
+    depth contour) and is symmetric under beta -> 360 - beta. The tangent
+    form keeps full relative precision at any dip, however small.
     """
     _check_angles(alpha_deg, beta_deg)
-    a = math.radians(alpha_deg)
-    b = math.radians(beta_deg)
-    cos_g = math.cos(a) / math.sqrt(math.cos(a) ** 2 + math.sin(b) ** 2 * math.sin(a) ** 2)
-    return math.degrees(math.acos(min(1.0, cos_g)))
+    tan_g = abs(math.sin(math.radians(beta_deg))) * math.tan(math.radians(alpha_deg))
+    return math.degrees(math.atan(tan_g))
 
 
 def swath_cross_section(depth: float, gamma_deg: float, xdcr: TransducerSpec) -> SwathCrossSection:

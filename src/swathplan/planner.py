@@ -13,6 +13,9 @@ until the contract holds exactly. The first line is checked through
 ``swath_at``; every later line scales the unit-depth swath halves by its
 depth, which ``swath_cross_section`` guarantees gives the same floats, so
 a plan solves the law of sines a fixed few times, not once per line.
+The region computes tan(alpha) once, when it is built: depth, the
+closed-form line count and the placement loop all read that one value,
+and the count's first stop test is the loop's, on the same floats.
 """
 
 from __future__ import annotations
@@ -41,13 +44,15 @@ class _SurveyRegion(NamedTuple):
     center_depth: float  # depth at the region center, m
     slope_alpha: float  # east-west bed dip, deg
     edge_offset_d1: float  # depth increase from the region center to the west edge, m
-    west_edge_depth: float  # m: depth(x) = west_edge_depth - x * tan(alpha)
+    west_edge_depth: float  # m: depth(x) = west_edge_depth - x * tan_alpha
+    tan_alpha: float  # tan(slope_alpha): depth falls this many m per m eastward
 
 
 class SurveyRegion(_SurveyRegion):
     """Rectangular survey region. The deep side is the west edge by convention.
 
-    Built from its four extents; the two edge depths derive from them.
+    Built from its four extents; the two edge depths and the dip's tangent
+    derive from them, once, and every depth the planner takes reads them.
     """
 
     __slots__ = ()
@@ -61,16 +66,17 @@ class SurveyRegion(_SurveyRegion):
             raise ValueError(f"center depth must be positive, got {center_depth}")
         if not 0.0 <= slope_alpha < 90.0:
             raise ValueError(f"slope angle must be in [0, 90) degrees, got {slope_alpha}")
-        d1 = 0.5 * width_ew * math.tan(math.radians(slope_alpha))
+        ta = math.tan(math.radians(slope_alpha))
+        d1 = 0.5 * width_ew * ta
         return super().__new__(
-            cls, width_ew, length_ns, center_depth, slope_alpha, d1, center_depth + d1
+            cls, width_ew, length_ns, center_depth, slope_alpha, d1, center_depth + d1, ta
         )
 
     def __getnewargs__(self):
         """The four extents __new__ takes, so copy and pickle rebuild the region."""
         return self[:4]
 
-    # _replace rebuilds through _make: derive the edge depths again from the extents
+    # _replace rebuilds through _make: derive the edge depths and tan_alpha again
     _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:4]))
 
 
@@ -116,7 +122,7 @@ def depth_at_x(region: SurveyRegion, x: float) -> float:
 
     Raises SurfacedSeabedError once the depth line crosses the surface.
     """
-    depth = region.west_edge_depth - x * math.tan(math.radians(region.slope_alpha))
+    depth = region.west_edge_depth - x * region.tan_alpha
     if depth <= 0.0:
         raise SurfacedSeabedError(f"surfaced seabed: depth {depth:.3f} m at x = {x:.3f} m")
     return depth
@@ -127,28 +133,27 @@ def swath_at(region: SurveyRegion, xdcr: TransducerSpec, x: float) -> SwathCross
     return swath_cross_section(depth_at_x(region, x), region.slope_alpha, xdcr)
 
 
-def _line_count(
-    region: SurveyRegion, unit: SwathCrossSection, free: float, x0: float
-) -> int | float:
+def _line_count(region: SurveyRegion, reach: float, free: float, x0: float) -> int | float:
     """Lines plan_survey places from a first line at x0, in closed form.
 
-    ``unit`` is the swath at unit depth (total width K) and ``free`` the
-    part (1 - eta) * K of it that the overlap target leaves unshared. With
+    ``reach`` is k_sh, how far east of a line at unit depth its shallow
+    edge lies, horizontally, and ``free`` the part (1 - eta) * K of the
+    unit-depth width K that the overlap target leaves unshared. With
     f = free and t = tan(alpha), each step scales the depth by
     q = (1 - f*t/2) / (1 + f*t/2). Placement stops at the first depth at or
     below D_stop = D_E / (1 - k_sh * t), where the shallow edge k_sh * D
     east of the line reaches the east boundary (D_E: the depth there). From
     D_0 = D(x0) that is ceil(log(D_0 / D_stop) / log(1 / q)) steps, with
-    D_0 / D_stop = 1 + t * g / D_E and g = W - x0 - k_sh * D_0 the strip
-    the first swath leaves. On a flat bed each step is f * D_0.
+    D_0 / D_stop = 1 + t * g / D_E and g = W - (x0 + k_sh * D_0) the strip
+    the first swath leaves; g <= 0 is plan_survey's stop test on the same
+    floats. On a flat bed each step is f * D_0.
 
     Returns 1 where no step exists (f*t/2 >= 1; plan_survey then stops at
     the second line) and inf where the count overflows.
     """
-    a = math.radians(region.slope_alpha)
-    ta = math.tan(a)
+    ta = region.tan_alpha
     d0 = depth_at_x(region, x0)
-    gap = region.width_ew - x0 - unit.half_shallow * math.cos(a) * d0
+    gap = region.width_ew - (x0 + d0 * reach)
     if gap <= 0.0 or 0.5 * free * ta >= 1.0:
         return 1
     if ta == 0.0:
@@ -167,7 +172,8 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     The first line pins its deep edge to the west boundary; each later line
     keeps the target overlap with its predecessor; placement stops once a
     line's shallow edge reaches the east boundary. Infeasibility surfaces as
-    a PlanningError carrying whatever partial plan existed.
+    a PlanningError carrying whatever partial plan existed; so does a line
+    whose position or width overflows the doubles.
 
     The overlap of two lines is 1 - d / w_mean, with d their spacing and
     w_mean the mean of their bed-measured widths. Coverage checks elsewhere
@@ -175,8 +181,7 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     """
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    a = math.radians(region.slope_alpha)
-    ta, ca = math.tan(a), math.cos(a)
+    ta, ca = region.tan_alpha, math.cos(math.radians(region.slope_alpha))
     if ta > 0.0 and region.west_edge_depth / ta <= region.width_ew:
         # A bed surfacing inside the region can never satisfy the east
         # boundary termination: widths decay geometrically toward the
@@ -191,6 +196,8 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         k_d, k_s = unit.half_deep, unit.half_shallow
         # the part of the unit-depth width K that the target leaves unshared
         free = (1.0 - eta_target) * unit.total_width
+        # how far east of a line at unit depth its shallow edge lies, horizontally
+        reach = k_s * ca
         # The first line's deep edge sits k * depth(x) west of it, with
         # k = k_d * cos(alpha) and k_d the deep half-width at unit depth, so
         # pinning that edge to the west boundary (x = k * depth(x)) gives
@@ -206,33 +213,39 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         # nudge west by ulps until the deep edge is at or west of the boundary
         while x - (section := swath_at(region, xdcr, x)).half_deep * ca > 0.0:
             x = math.nextafter(x, -math.inf)
-        if (count := _line_count(region, unit, free, x)) > MAX_LINES:
+        if (count := _line_count(region, reach, free, x)) > MAX_LINES:
             raise PlanningError(
                 f"too many lines: the plan needs {float(count):.4g} lines, "
                 f"more than the {MAX_LINES:,} allowed"
             )
         d, w = section.local_depth, section.total_width
-        placements.append(LinePlacement(x, w, None))
+        # LinePlacement refuses a non-finite x or width: a swath past the
+        # largest double is a plan that cannot be made, not a crash
+        try:
+            placements.append(LinePlacement(x, w, None))
+        except ValueError as err:
+            raise PlanningError(f"plan overflows: line 1: {err}") from err
+        # With width K * depth and depth falling by tan(alpha) per meter,
+        # the overlap 1 - step / w_mean is linear in the step:
+        #
+        #     step = (1 - eta) * K * D_prev / (1 + (1 - eta) * K * tan(alpha) / 2).
+        half_drop = 0.5 * free * ta
+        step_den = 1.0 + half_drop
         # Each line carries (x, d, w): its depth and its width d*k_d + d*k_s.
         # swath_cross_section scales the unit halves the same way, so these
         # are the floats swath_at(x) returns, bit for bit, without re-solving
         # the law of sines. Place lines until one's horizontal shallow edge
         # reaches the east boundary.
-        while x + d * k_s * ca < region.width_ew:
-            # With width K * depth and depth falling by tan(alpha) per meter,
-            # the overlap 1 - step / w_mean is linear in the step:
-            #
-            #     step = (1 - eta) * K * D_prev / (1 + (1 - eta) * K * tan(alpha) / 2).
-            #
+        while x + d * reach < region.width_ew:
             # No step exists once (1 - eta) * K * tan(alpha) / 2 >= 1: the bed
             # would surface at or before the position the target asks for.
-            if 0.5 * free * ta >= 1.0:
+            if half_drop >= 1.0:
                 raise RegionExhaustedError(
                     f"region exhausted: seabed surfaces near x = "
                     f"{region.west_edge_depth / ta:.3f} m "
                     f"before the overlap can drop to {eta_target:g}"
                 )
-            x_next = x + free * d / (1.0 + 0.5 * free * ta)
+            x_next = x + free * d / step_den
             d_next = depth_at_x(region, x_next)
             w_next = d_next * k_d + d_next * k_s
             # nudge west by ulps until the achieved overlap never undershoots
@@ -246,7 +259,13 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
                 raise RegionExhaustedError(
                     f"region exhausted: placement stalled at x = {x:.3f} m"
                 )
-            placements.append(LinePlacement(x_next, w_next, achieved))
+            # achieved lies in [eta, 1), so only the finiteness check can refuse
+            try:
+                placements.append(LinePlacement(x_next, w_next, achieved))
+            except ValueError as err:
+                raise PlanningError(
+                    f"plan overflows: line {len(placements) + 1}: {err}"
+                ) from err
             x, d, w = x_next, d_next, w_next
     except PlanningError as err:
         if placements:

@@ -135,15 +135,17 @@ def _raster(
             runs[-1][1] = end
         else:
             runs.append([start, end])
-    ratios = tuple(
-        max(0, min(stop_w, stop_e) - max(first_w, first_e)) * cell / (0.5 * (ext_w + ext_e))
-        for (first_w, stop_w, ext_w), (first_e, stop_e, ext_e) in zip(ranges, ranges[1:])
-    )
+    ratios = []
+    for (first_w, stop_w, ext_w), (first_e, stop_e, ext_e) in zip(ranges, ranges[1:]):
+        # footprints narrower than an ulp of x have no extent: the pair reads 0
+        mean = 0.5 * (ext_w + ext_e)
+        shared = max(0, min(stop_w, stop_e) - max(first_w, first_e)) * cell
+        ratios.append(shared / mean if mean > 0.0 else 0.0)
     return CoverageReport(
         resolution=cell,
         # n_cells * cell can round above width
         uncovered_intervals=tuple((start * cell, min(end * cell, width)) for start, end in runs),
-        pairwise_overlap_ratios=ratios,
+        pairwise_overlap_ratios=tuple(ratios),
         max_multiplicity=max_cover,
     )
 

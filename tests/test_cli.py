@@ -5,20 +5,21 @@ from __future__ import annotations
 import gc
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from swathplan import cli
+from swathplan import cli, planner
 from swathplan.cli import STRIPE_CELLS, _width_chunks, main
 from swathplan.config import load_config
 from swathplan.errors import PlanningError
@@ -564,6 +565,35 @@ def test_plan_stalled_placement_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+# a swath past the largest double: its width overflows on the first line, or
+# the second line's step carries x to inf over a flat bed (depth nan there)
+OVERFLOWING_PLANS = {
+    "first_width": (
+        "1e306", "error: plan overflows: line 1: line x and width must be finite, "
+        "got 1.145886501293096e+308, inf", None,
+    ),
+    "second_x": (
+        "7e305", "error: plan overflows: line 2: line x and width must be finite, "
+        "got inf, nan", "partial plan (1 lines):",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["plan", "plot-data"])
+@pytest.mark.parametrize("case", list(OVERFLOWING_PLANS))
+def test_plan_whose_swath_overflows_exits_1(command, case):
+    depth, error, partial = OVERFLOWING_PLANS[case]
+    proc = run_cli(
+        command, "--region-ew-nm", "9e304", "--center-depth-m", depth,
+        "--theta-deg", "179", "--alpha-deg", "0", timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [error]
+    assert (partial in proc.stderr) if partial else "partial plan" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --------------------------------------------------------------------- verify
 
 
@@ -722,6 +752,17 @@ def test_plan_over_the_line_limit_exits_1(flags):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_verify_footprints_narrower_than_an_ulp_fail(capsys):
+    # 1e-100 m deep, every footprint rounds to its line's x: no pair shares
+    # a cell, so every ratio is 0 and the region is all gaps
+    argv = ["verify", str(GOLDEN / "plan.csv"), "--center-depth-m", "1e-100", "--alpha-deg", "0"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("finding: uncovered interval [0.000, ")
+    assert "lines 1-2: rasterized overlap 0.00000 outside [0.09500, 0.20500]" in out
+    assert out.endswith("FAIL: 86 finding(s)\n")
+
+
 def test_verify_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n1,2\n", encoding="utf-8")
@@ -795,6 +836,55 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"nonsense": 1}), encoding="utf-8")
     assert main(["width-table", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def _powers_of_ten(low: float, high: float) -> st.SearchStrategy[float]:
+    return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def extreme_flags(draw):
+    """Scenario flags out to the edges of the doubles and of each angle's range."""
+    depth = draw(_powers_of_ten(-300.0, 306.0))
+    width_nm = draw(st.one_of(_powers_of_ten(-300.0, math.log10(9e304)), st.just(9e304)))
+    theta = draw(st.one_of(st.floats(1e-6, 179.99999999), st.just(179.99999999)))
+    alpha = draw(st.one_of(
+        st.just(0.0), _powers_of_ten(-300.0, math.log10(89.9999999)), st.floats(0.0, 89.9999999)
+    ))
+    near_0 = _powers_of_ten(-12.0, -1.0)
+    eta = draw(st.one_of(near_0, near_0.map(lambda e: 1.0 - e), st.floats(0.01, 0.99)))
+    return [
+        "--center-depth-m", repr(depth), "--region-ew-nm", repr(width_nm),
+        "--theta-deg", repr(theta), "--alpha-deg", repr(alpha), "--eta", repr(eta),
+        "--format", draw(st.sampled_from(["csv", "json"])),
+    ]
+
+
+OVERFLOW_FLAGS = ["--region-ew-nm", "9e304", "--theta-deg", "179", "--alpha-deg", "0"]
+
+
+@settings(
+    deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(flags=extreme_flags())
+@example(flags=["--center-depth-m", "1e306", *OVERFLOW_FLAGS])  # the first width overflows
+@example(flags=["--center-depth-m", "7e305", *OVERFLOW_FLAGS])  # the second line's x overflows
+@example(flags=["--center-depth-m", "1e-100", "--alpha-deg", "0"])  # footprints under an ulp
+def test_every_command_exits_0_1_or_2_on_extreme_scenarios(flags, monkeypatch):
+    # at most 20,000 lines a plan bounds the work of plan, plot-data and verify
+    monkeypatch.setattr(planner, "MAX_LINES", 20_000)
+    with tempfile.TemporaryDirectory() as tmp:
+        plan_path = os.path.join(tmp, "plan.txt")
+        for argv in (
+            ["plan", "--out", plan_path],
+            ["plot-data", "--out", os.path.join(tmp, "plot.json")],
+            ["width-table", "--out", os.path.join(tmp, "widths.txt")],
+            ["verify", plan_path],  # exits 2 when plan wrote no file
+            ["verify", str(GOLDEN / "plan.csv")],
+        ):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv + flags)
+            assert code in (0, 1, 2), (argv, flags)
 
 
 def test_missing_subcommand_exits_2():

@@ -53,6 +53,12 @@ def test_effective_slope_known_values():
     assert effective_slope(0.0, 123.4) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.5, 1.5, 30.0, 60.0, 89.0])
+def test_effective_slope_along_a_contour_is_the_dip(alpha):
+    # a line along the contour sees the full dip, at every dip however small
+    assert effective_slope(alpha, 90.0) == pytest.approx(alpha, rel=1e-12, abs=0.0)
+
+
 def test_effective_slope_stays_within_dip():
     rng = random.Random(421)
     for _ in range(300):

@@ -27,9 +27,10 @@ from swathplan.planner import (
 FLAT_110 = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=0.0)
 
 
-def test_derive_profile_default_region(region):
+def test_region_default_edge_depths(region):
     assert region.edge_offset_d1 == pytest.approx(96.99265349226839, rel=1e-12)
     assert region.west_edge_depth == pytest.approx(206.9926534922684, rel=1e-12)
+    assert region.tan_alpha == pytest.approx(0.02618592156918693, rel=1e-12)
 
 
 def test_region_rejects_non_finite_values():
@@ -40,21 +41,21 @@ def test_region_rejects_non_finite_values():
                 SurveyRegion(**{**good, field: value})
 
 
-def test_derive_profile_scales_with_region():
+def test_region_edge_depths_scale_with_region():
     region = SurveyRegion(width_ew=2000.0, length_ns=500.0, center_depth=80.0, slope_alpha=3.0)
     assert region.edge_offset_d1 == pytest.approx(
         52.40777928304121, rel=1e-12
     )
 
 
-def test_depth_profile_anchors(region):
+def test_depth_at_x_anchors(region):
     assert depth_at_x(region, 0.0) == pytest.approx(206.9926534922684, rel=1e-12)
     assert depth_at_x(region, 3704.0) == pytest.approx(110.0, abs=1e-6)
     assert depth_at_x(region, 951.734) == pytest.approx(182.07062161353986, rel=1e-12)
     assert depth_at_x(region, 7408.0) == pytest.approx(13.007346507731614, rel=1e-9)
 
 
-def test_depth_profile_rejects_dry_x(region):
+def test_depth_at_x_rejects_dry_x(region):
     with pytest.raises(SurfacedSeabedError, match="surfaced seabed"):
         depth_at_x(region, 9000.0)
 
@@ -297,7 +298,8 @@ def test_placement_contract_over_the_envelope():
         assert first.x - proj_deep <= 0.0, (alpha, theta, eta)
         unit = swath_cross_section(1.0, alpha, fan)
         free = (1.0 - eta) * unit.total_width
-        assert _line_count(region, unit, free, first.x) == plan.line_count, (alpha, theta, eta)
+        reach = unit.half_shallow * math.cos(math.radians(alpha))
+        assert _line_count(region, reach, free, first.x) == plan.line_count, (alpha, theta, eta)
         for line in plan.placements:
             fresh = swath_at(region, fan, line.x).total_width
             assert line.swath_width == fresh, (alpha, theta, eta)

@@ -40,7 +40,7 @@ RECORDS = {
     "SurveyRegion": (
         _region,
         ["width_ew", "length_ns", "center_depth", "slope_alpha", "edge_offset_d1",
-         "west_edge_depth"],
+         "west_edge_depth", "tan_alpha"],
     ),
     "LinePlacement": (
         lambda: LinePlacement(500.0, 380.0, 0.1),
