@@ -8,29 +8,29 @@ be written.
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
 import gc
 import io
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from itertools import chain
 from typing import Any, NoReturn
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .errors import PlanningError
-from .geometry import width_table
 from .planfile import (
     NonFiniteOutputError,
     PlanParseError,
-    WidthText,
     plan_summary,
     read_plan,
+    sig_spec,
     width_rows_csv,
     write_plan_csv,
     write_plan_json,
 )
-from .planner import METERS_PER_NAUTICAL_MILE, plan_survey
+from .planner import plan_survey
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -120,103 +120,26 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
 
 
-# About this many cells make one stripe of width-table headings (8 rows of a
-# 1,000-distance grid): the unit the two processes take turns on.
-STRIPE_CELLS = 8_000
-
-
 def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
     """Swath width per (heading, distance) cell; failed cells print as ERR/null.
 
-    The headings are cut into stripes of consecutive rows, about
-    ``STRIPE_CELLS`` cells each. When the grid holds more than one stripe and
-    the platform can fork, one forked worker computes and formats the odd
-    stripes while this process computes the even ones; this process writes
-    every row in order, one row per write. Each process holds about one
-    stripe however large the grid, and the output is the bytes one process
-    alone would write. A one-stripe grid runs the same loop with no worker.
+    The rows come from ``stripes.width_chunks`` in heading order, and each is
+    written as it comes.
     """
+    from .stripes import width_chunks  # only width-table compiles the stripes
+
     if cfg.format == "json":
         from .jsonwriter import width_rows_json  # only JSON output compiles the templates
 
         text = width_rows_json(cfg.distances_nm, cfg.precision)
     else:
         text = width_rows_csv(cfg.distances_nm, cfg.precision)
-    chunks = _width_chunks(cfg, text)
+    chunks = width_chunks(cfg, text)
     try:
         _emit(chunks, args.out)
     finally:
         chunks.close()  # reaps the worker however the writing ended
     return 0
-
-
-def _width_chunks(cfg: ScenarioConfig, text: WidthText) -> Iterator[str]:
-    """The head, each row's text in heading order, then the tail."""
-    head, row_text, tail = text
-    headings = cfg.headings_deg
-    distances_m = [d * METERS_PER_NAUTICAL_MILE for d in cfg.distances_nm]
-    size = max(1, STRIPE_CELLS // len(distances_m))
-    starts = range(0, len(headings), size)
-
-    def stripe(start: int) -> list[str]:
-        # a heading at a time, so one row of widths is held besides the texts
-        return [
-            row_text(i, h, width_table(cfg.seabed, cfg.transducer, [h], distances_m)[0])
-            for i, h in enumerate(headings[start : start + size], start)
-        ]
-
-    pid = 0  # no worker
-    if len(starts) > 1 and hasattr(os, "fork"):
-        pid, pipe = _fork_worker(stripe, starts[1::2])
-    try:
-        yield head
-        for n, start in enumerate(starts):
-            if n % 2 and pid:
-                for heading in headings[start : start + size]:
-                    yield _received(pipe, heading)
-            else:
-                yield from stripe(start)
-        yield tail
-    finally:
-        if pid:
-            pipe.close()  # a worker still writing stops at EPIPE
-            os.waitpid(pid, 0)
-
-
-def _fork_worker(
-    stripe: Callable[[int], list[str]], starts: range
-) -> tuple[int, io.BufferedReader]:
-    """Fork a worker that sends the rows of each stripe in ``starts`` down a pipe.
-
-    Each row goes as the length of its UTF-8 text (8 bytes, little-endian),
-    then the text. Returns the worker's pid and the pipe's read end.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker prints nothing and ends here on every path
-        code = 1
-        try:
-            os.close(read_fd)
-            for start in starts:
-                texts = [text.encode() for text in stripe(start)]
-                data = memoryview(b"".join(len(t).to_bytes(8, "little") + t for t in texts))
-                while data:
-                    data = data[os.write(write_fd, data) :]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _received(pipe: io.BufferedReader, heading: float) -> str:
-    """The next row the worker sent; ChildProcessError if it ended first."""
-    prefix = pipe.read(8)
-    size = int.from_bytes(prefix, "little")
-    data = pipe.read(size) if len(prefix) == 8 else b""
-    if not data or len(data) < size:  # no row's text is empty
-        raise ChildProcessError(f"the width-table worker ended before heading {heading!r}")
-    return data.decode()
 
 
 def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
@@ -321,9 +244,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         partial = err.partial_plan
         if partial is not None:
+            spec = sig_spec(cfg.precision)  # as the plan file would print them
             print(f"partial plan ({partial.line_count} lines):", file=sys.stderr)
             for p in partial.placements:
-                print(f"  x={p.x:.3f} m  width={p.swath_width:.3f} m", file=sys.stderr)
+                print(f"  x={spec % p.x} m  width={spec % p.swath_width} m", file=sys.stderr)
         return 1
 
 
@@ -331,14 +255,24 @@ def run() -> NoReturn:
     """Process entry of `python -m swathplan`, `python -m swathplan.cli` and
     the `swathplan` script: run `main` on a frozen heap and exit with its status.
 
-    Freezing keeps every collection, the interpreter's last ones at shutdown
-    included, off the objects the imports built, which live until the process
-    ends anyway. The exit path is otherwise the normal one (atexit, the final
-    stdout flush and its error report). `main` itself never freezes: tests and
-    library callers run it in-process.
+    Freezing keeps every collection off the objects the imports built, which
+    live until the process ends anyway. Once `main` returns, the atexit hooks
+    run and stdout and stderr are flushed, and then the process ends without
+    the interpreter's teardown, which only frees memory the OS takes back. A
+    flush that fails leaves the exit to the interpreter, which reports it as
+    any exit does. `main` itself neither freezes nor exits: tests and library
+    callers run it in-process.
     """
     gc.freeze()
-    raise SystemExit(main())
+    status = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):  # a failed write, or a stream closed under us
+        raise SystemExit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,101 @@
+"""The width-table rows in stripes, computed by this process and a forked worker.
+
+The headings are cut into stripes of consecutive rows, about ``STRIPE_CELLS``
+cells each. When the grid holds more than one stripe and the platform can
+fork, one forked worker computes and formats the odd stripes while this
+process computes the even ones, and this process yields every row in order.
+Each process holds about one stripe however large the grid, and the output is
+the bytes one process alone would write. A one-stripe grid runs the same loop
+with no worker.
+
+Only ``cli.cmd_width_table`` imports this module, when it runs, so no other
+command compiles it.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+from collections.abc import Callable, Iterator
+
+from . import geometry
+from .config import ScenarioConfig
+from .planfile import WidthText
+from .planner import METERS_PER_NAUTICAL_MILE
+
+# About this many cells make one stripe of width-table headings (8 rows of a
+# 1,000-distance grid): the unit the two processes take turns on.
+STRIPE_CELLS = 8_000
+
+
+def width_chunks(cfg: ScenarioConfig, text: WidthText) -> Iterator[str]:
+    """The head, each row's text in heading order, then the tail.
+
+    Each row comes from ``geometry.width_table`` as bound when the row is
+    computed, so a wrapper put there after import sees every call.
+    """
+    head, row_text, tail = text
+    headings = cfg.headings_deg
+    distances_m = [d * METERS_PER_NAUTICAL_MILE for d in cfg.distances_nm]
+    size = max(1, STRIPE_CELLS // len(distances_m))
+    starts = range(0, len(headings), size)
+
+    def stripe(start: int) -> list[str]:
+        # a heading at a time, so one row of widths is held besides the texts
+        return [
+            row_text(i, h, geometry.width_table(cfg.seabed, cfg.transducer, [h], distances_m)[0])
+            for i, h in enumerate(headings[start : start + size], start)
+        ]
+
+    pid = 0  # no worker
+    if len(starts) > 1 and hasattr(os, "fork"):
+        pid, pipe = _fork_worker(stripe, starts[1::2])
+    try:
+        yield head
+        for n, start in enumerate(starts):
+            if n % 2 and pid:
+                for heading in headings[start : start + size]:
+                    yield _received(pipe, heading)
+            else:
+                yield from stripe(start)
+        yield tail
+    finally:
+        if pid:
+            pipe.close()  # a worker still writing stops at EPIPE
+            os.waitpid(pid, 0)
+
+
+def _fork_worker(
+    stripe: Callable[[int], list[str]], starts: range
+) -> tuple[int, io.BufferedReader]:
+    """Fork a worker that sends the rows of each stripe in ``starts`` down a pipe.
+
+    Each row goes as the length of its UTF-8 text (8 bytes, little-endian),
+    then the text. Returns the worker's pid and the pipe's read end.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker prints nothing and ends here on every path
+        code = 1
+        try:
+            os.close(read_fd)
+            for start in starts:
+                texts = [text.encode() for text in stripe(start)]
+                data = memoryview(b"".join(len(t).to_bytes(8, "little") + t for t in texts))
+                while data:
+                    data = data[os.write(write_fd, data) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _received(pipe: io.BufferedReader, heading: float) -> str:
+    """The next row the worker sent; ChildProcessError if it ended first."""
+    prefix = pipe.read(8)
+    size = int.from_bytes(prefix, "little")
+    data = pipe.read(size) if len(prefix) == 8 else b""
+    if not data or len(data) < size:  # no row's text is empty
+        raise ChildProcessError(f"the width-table worker ended before heading {heading!r}")
+    return data.decode()

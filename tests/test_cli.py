@@ -19,14 +19,15 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from swathplan import cli, planner
-from swathplan.cli import STRIPE_CELLS, _width_chunks, main
+from swathplan import planner
+from swathplan.cli import main
 from swathplan.config import load_config
 from swathplan.errors import PlanningError
 from swathplan.geometry import PlanarSeabed, TransducerSpec, swath_cross_section, width_table
 from swathplan.jsonwriter import width_rows_json
 from swathplan.planfile import width_rows_csv
 from swathplan.planner import METERS_PER_NAUTICAL_MILE
+from swathplan.stripes import STRIPE_CELLS, width_chunks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -447,7 +448,7 @@ WORKER_GRID_FLAGS = ["--headings-deg", ",".join(map(repr, WORKER_GRID["headings_
 
 def test_width_table_worker_is_reaped_when_the_rows_stop():
     cfg = load_config(None, WORKER_GRID)
-    chunks = _width_chunks(cfg, width_rows_csv(cfg.distances_nm, cfg.precision))
+    chunks = width_chunks(cfg, width_rows_csv(cfg.distances_nm, cfg.precision))
     assert next(chunks).startswith("heading_deg,")
     assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # the worker runs
     chunks.close()
@@ -486,7 +487,7 @@ def test_width_table_worker_failure_exits_2(monkeypatch, capsys):
             raise ValueError("no width here")
         return width_table(seabed, xdcr, headings, distances)
 
-    monkeypatch.setattr("swathplan.cli.width_table", failing)
+    monkeypatch.setattr("swathplan.geometry.width_table", failing)  # the stripes call it there
     assert main(["width-table", *WORKER_GRID_FLAGS]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: the width-table worker ended before heading 8.0\n"
@@ -592,6 +593,19 @@ def test_plan_whose_swath_overflows_exits_1(command, case):
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [error]
     assert (partial in proc.stderr) if partial else "partial plan" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_refused_plan_prints_its_partial_lines_as_the_plan_file_would():
+    # near the largest double, a fixed-point x would print as 300 digits
+    proc = run_cli(
+        "plan", "--region-ew-nm", "9e304", "--center-depth-m", "7e305",
+        "--theta-deg", "179", "--alpha-deg", "0", timeout=60,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    partial = lines[lines.index("partial plan (1 lines):") + 1 :]
+    assert partial == ["  x=8.02121e+307 m  width=1.60424e+308 m"]
+    assert all(len(line) < 80 for line in partial)
 
 
 # --------------------------------------------------------------------- verify
@@ -950,21 +964,51 @@ def test_module_entrypoint_smoke():
     assert proc.stdout.startswith("heading_deg,")
 
 
-def test_run_calls_main_on_a_frozen_heap(monkeypatch):
-    frozen = []
+def _run_entry(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """A child that runs ``code`` after `from swathplan import cli`, then
+    `cli.run()` on the command line ARGV."""
+    return subprocess.run(
+        [sys.executable, "-c", f"from swathplan import cli\n{code}\ncli.run()\n", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
-    def recording_main():
-        frozen.append(gc.get_freeze_count())
-        return 0
 
-    monkeypatch.setattr(cli, "main", recording_main)
-    try:
-        with pytest.raises(SystemExit) as exit_:
-            cli.run()
-    finally:
-        gc.unfreeze()  # leave the test process's heap as it was
-    assert exit_.value.code == 0
-    assert len(frozen) == 1 and frozen[0] > 0
+def test_run_calls_main_on_a_frozen_heap():
+    # in a child process, as run() ends the process it runs in
+    proc = _run_entry(
+        "import gc\n"
+        "def recording_main():\n"
+        "    print(gc.get_freeze_count())\n"
+        "    return 0\n"
+        "cli.main = recording_main"
+    )
+    assert proc.returncode == 0, proc.stderr
+    frozen = proc.stdout.split()
+    assert len(frozen) == 1 and int(frozen[0]) > 0
+
+
+@pytest.mark.parametrize("status", [0, 1, 2, 3])
+def test_run_exits_with_mains_status(status):
+    proc = _run_entry(f"cli.main = lambda: {status}")
+    assert proc.returncode == status, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_run_runs_the_atexit_hooks():
+    # the hook writes after main returns, and its text still reaches the pipe
+    proc = _run_entry("import atexit\natexit.register(print, 'hook ran')", "plan")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "plan.csv").read_text(encoding="utf-8") + "hook ran\n"
+
+
+def test_dense_plan_reaches_a_pipe_whole():
+    # 2,945 lines, all written before the process ends without teardown
+    proc = run_cli("plan", "--eta", "0.99", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("# summary: lines=2945 ")
+    assert proc.stdout.count("\n") == 2947  # the header, the rows and the summary
 
 
 def test_main_in_process_freezes_nothing(capsys):
@@ -1171,7 +1215,8 @@ def test_unconvertible_json_number_exits_2(argv, text, where, tmp_path):
 
 
 def _modules_loaded(*argv: str) -> set[str]:
-    """Top-level modules `python -m swathplan ARGV` imports once the interpreter is up."""
+    """Modules `python -m swathplan ARGV` imports once the interpreter is up,
+    each by its full name and by its top-level package's."""
     # -X importtime lists on stderr every module the process imports, each
     # after the modules it imported; those up to `site` come with every launch
     proc = subprocess.run(
@@ -1188,24 +1233,29 @@ def _modules_loaded(*argv: str) -> set[str]:
     ]
     if "site" in names:
         names = names[names.index("site") + 1 :]
-    return {name.partition(".")[0] for name in names}
+    return {*names, *[name.partition(".")[0] for name in names]}
 
 
 # No launch needs numpy or the dataclass machinery. A launch from flags alone
 # reads no JSON document, and every writer prints JSON from fixed templates.
+# Only verify compiles the plan reader, and only width-table the stripes.
 # The width-table worker is a bare fork, with no process or pool library.
 NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy"}
-WIDTH_TABLE_LOADS_NONE_OF = NEVER_LOADED | {"json", "multiprocessing", "concurrent", "subprocess"}
+READER, STRIPES = "swathplan.planreader", "swathplan.stripes"
+PLAN_LOADS_NONE_OF = NEVER_LOADED | {"json", READER, STRIPES}
+WIDTH_TABLE_LOADS_NONE_OF = NEVER_LOADED | {
+    "json", "multiprocessing", "concurrent", "subprocess", READER
+}
 LAUNCH_IMPORTS = [
-    (["plan", "--out", "PLAN"], NEVER_LOADED | {"json"}),
-    (["plan", "--alpha-deg", "1.2", "--eta", "0.2"], NEVER_LOADED | {"json"}),
-    (["plan", "--format", "json"], NEVER_LOADED | {"json"}),
-    (["verify", "PLAN"], NEVER_LOADED),
+    (["plan", "--out", "PLAN"], PLAN_LOADS_NONE_OF),
+    (["plan", "--alpha-deg", "1.2", "--eta", "0.2"], PLAN_LOADS_NONE_OF),
+    (["plan", "--format", "json"], PLAN_LOADS_NONE_OF),
+    (["verify", "PLAN"], NEVER_LOADED | {STRIPES}),
     (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], WIDTH_TABLE_LOADS_NONE_OF),
     (["width-table", "--format", "json"], WIDTH_TABLE_LOADS_NONE_OF),
     # three stripes, so the worker runs
     (["width-table", *WORKER_GRID_FLAGS], WIDTH_TABLE_LOADS_NONE_OF),
-    (["plot-data"], NEVER_LOADED | {"json"}),
+    (["plot-data"], PLAN_LOADS_NONE_OF),
 ]
 
 
@@ -1213,7 +1263,8 @@ def test_launches_load_only_what_they_run(tmp_path):
     plan = str(tmp_path / "plan.csv")
     for argv, banned in LAUNCH_IMPORTS:
         loaded = _modules_loaded(*[plan if arg == "PLAN" else arg for arg in argv])
-        assert "swathplan" in loaded, argv
+        # the gate sees submodules: each command loads what it runs
+        assert {"verify": READER, "width-table": STRIPES}.get(argv[0], "swathplan") in loaded, argv
         assert not loaded & banned, (argv, sorted(loaded & banned))
 
 
