@@ -7,7 +7,6 @@ be written.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import errno
 import gc
@@ -37,78 +36,81 @@ def _csv_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="JSON scenario config")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
-    sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    sub.add_argument("--alpha-deg", type=float, help="bed dip angle override (deg)")
-    sub.add_argument("--theta-deg", type=float, help="transducer opening angle override (deg)")
-    sub.add_argument("--eta", type=float, help="target overlap fraction override")
-    sub.add_argument("--center-depth-m", type=float, help="region center depth override (m)")
-    sub.add_argument("--region-ew-nm", type=float, help="region east-west extent override (NM)")
-    sub.add_argument("--region-ns-nm", type=float, help="region north-south extent override (NM)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="swathplan",
-        description="Multibeam swath widths and survey line layout over a sloped seabed.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_table = subs.add_parser("width-table", help="swath width grid over headings and distances")
-    _add_common_flags(p_table)
-    p_table.add_argument(
-        "--headings-deg", type=_csv_floats, metavar="LIST", help="comma-separated headings (deg)"
-    )
-    p_table.add_argument(
-        "--distances-nm", type=_csv_floats, metavar="LIST", help="comma-separated distances (NM)"
-    )
-    p_table.set_defaults(handler=cmd_width_table)
-
-    p_plan = subs.add_parser("plan", help="lay out north-south survey lines")
-    _add_common_flags(p_plan)
-    p_plan.set_defaults(handler=cmd_plan)
-
-    p_verify = subs.add_parser("verify", help="audit a plan file against the scenario")
-    p_verify.add_argument("plan_file", metavar="PLAN", help="plan file written by 'plan'")
-    _add_common_flags(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_plot = subs.add_parser("plot-data", help="emit plan and region geometry as JSON")
-    _add_common_flags(p_plot)
-    p_plot.set_defaults(handler=cmd_plot_data)
-
-    return parser
-
-
-# Each scenario flag (argparse dest) and the config keys it sets.
-FLAG_KEYS = {
-    "alpha_deg": ("seabed.slope_alpha_deg", "region.slope_alpha_deg"),
-    "theta_deg": ("transducer.opening_angle_deg",),
-    "eta": ("eta_target",),
-    "center_depth_m": ("region.center_depth_m",),
-    "region_ew_nm": ("region.width_ew_nm",),
-    "region_ns_nm": ("region.length_ns_nm",),
-    "format": ("format",),
-    "headings_deg": ("headings_deg",),
-    "distances_nm": ("distances_nm",),
+# Every flag, once: its value reader, metavar and help, the config keys it sets
+# ("a.b" is key b of section a; none for a flag the command reads itself), and
+# the one command that takes it (None: every command).
+FLAGS = {
+    "--config": (str, "PATH", "JSON scenario config", (), None),
+    "--format": (str, "csv|json", "output format", ("format",), None),
+    "--out": (str, "PATH", "write output here instead of stdout", (), None),
+    "--alpha-deg": (float, "DEG", "bed dip (deg), for the width-table bed and the region",
+                    ("seabed.slope_alpha_deg", "region.slope_alpha_deg"), None),
+    "--theta-deg": (float, "DEG", "opening angle (deg)", ("transducer.opening_angle_deg",), None),
+    "--eta": (float, "ETA", "target overlap fraction", ("eta_target",), None),
+    "--center-depth-m": (float, "M", "region center depth (m)", ("region.center_depth_m",), None),
+    "--region-ew-nm": (float, "NM", "region east-west extent (NM)", ("region.width_ew_nm",), None),
+    "--region-ns-nm": (float, "NM", "region north-south extent (NM)",
+                       ("region.length_ns_nm",), None),
+    "--headings-deg": (_csv_floats, "LIST", "headings (deg)", ("headings_deg",), "width-table"),
+    "--distances-nm": (_csv_floats, "LIST", "distances (NM)", ("distances_nm",), "width-table"),
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    """The flags given become a partial config document, applied after the file."""
-    overrides: dict[str, Any] = {}
-    for flag, keys in FLAG_KEYS.items():
-        value = getattr(args, flag, None)  # only width-table has the list flags
-        if value is not None:
-            for key in keys:
-                section, _, name = key.rpartition(".")
-                (overrides.setdefault(section, {}) if section else overrides)[name] = value
-    return load_config(args.config, overrides)
+class UsageError(Exception):
+    """A command line the tables refuse; args: the command it names (or "") and why."""
+
+
+def _help(command: str) -> str:
+    """Help built from the tables; its first line is the usage line."""
+    if command:
+        _, about, metavar = COMMANDS[command]
+        usage = f"{command} [-h] [--FLAG VALUE ...] {metavar}".rstrip()
+        rows = [(f"{flag} {e[1]}", e[2]) for flag, e in FLAGS.items() if e[4] in (None, command)]
+    else:
+        about = "Multibeam swath widths and survey line layout over a sloped seabed."
+        usage, rows = "[-h] COMMAND ...", [(name, entry[1]) for name, entry in COMMANDS.items()]
+    rows = [("-h, --help", "show this help and exit"), *rows]
+    return f"usage: swathplan {usage}\n\n{about}\n\n" + "".join(f"  {a:<22}{b}\n" for a, b in rows)
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict[str, Any], dict[str, Any]]:
+    """The command, the values given by flag name or positional metavar (or
+    only the help text, under "--help"), and the partial config document the
+    flags form. A flag's value follows "=" or else is the next argument,
+    whatever it starts with; the last of a repeated flag wins."""
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return "", {"--help": _help("")}, {}
+    if command not in COMMANDS:
+        got = f", got {command!r}" if argv else ""
+        raise UsageError("", f"expected a command ({', '.join(COMMANDS)}){got}")
+    metavar, given, overrides = COMMANDS[command][2], {}, {}
+    args = iter(argv[1:])
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return command, {"--help": _help(command)}, {}
+        name, eq, text = arg.partition("=")
+        entry = FLAGS.get(name)  # whole names only: no prefix stands for a flag
+        if entry is None or entry[4] not in (None, command):
+            if arg.startswith("-") or not metavar or metavar in given:
+                raise UsageError(command, f"unrecognized arguments: {arg}")
+            given[metavar] = arg
+            continue
+        if not eq and (text := next(args, None)) is None:
+            raise UsageError(command, f"argument {name}: expected one argument")
+        try:
+            given[name] = value = entry[0](text)
+        except ValueError as err:
+            raise UsageError(command, f"argument {name}: {err}") from None
+        for key in entry[3]:
+            section, _, key = key.rpartition(".")
+            (overrides.setdefault(section, {}) if section else overrides)[key] = value
+    if metavar and metavar not in given:
+        raise UsageError(command, f"the following arguments are required: {metavar}")
+    return command, given, overrides
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -120,7 +122,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
 
 
-def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
+def cmd_width_table(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Swath width per (heading, distance) cell; failed cells print as ERR/null.
 
     The rows come from ``stripes.width_chunks`` in heading order, and each is
@@ -136,13 +138,13 @@ def cmd_width_table(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         text = width_rows_csv(cfg.distances_nm, cfg.precision)
     chunks = width_chunks(cfg, text)
     try:
-        _emit(chunks, args.out)
+        _emit(chunks, given.get("--out"))
     finally:
         chunks.close()  # reaps the worker however the writing ended
     return 0
 
 
-def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
+def cmd_plan(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Plan survey lines for the configured region and write the placement table."""
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
     d1 = cfg.region.edge_offset_d1
@@ -150,8 +152,8 @@ def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         body = write_plan_json(plan, d1, cfg.precision)
     else:
         body = write_plan_csv(plan, d1, cfg.precision)
-    _emit([body], args.out)
-    if args.out is not None:
+    _emit([body], given.get("--out"))
+    if given.get("--out") is not None:
         summary = plan_summary(plan, d1, cfg.precision)
         print(
             f"{summary['lines']} lines, {summary['total_track_nm']} NM total, "
@@ -166,12 +168,12 @@ def cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
 REPORT_BATCH = 1_000
 
 
-def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
+def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
     from .verifier import verify_plan  # a few ms to load, so only this subcommand pays
 
     try:
-        with open(args.plan_file, encoding="utf-8") as fh:
+        with open(given["PLAN"], encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise PlanParseError(f"cannot read plan file: {err}") from err
@@ -190,17 +192,26 @@ def cmd_verify(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
         "".join([f"finding: {finding}\n" for finding in findings[i : i + REPORT_BATCH]])
         for i in range(0, len(findings), REPORT_BATCH)
     )
-    _emit(chain(batches, [verdict]), args.out)
+    _emit(chain(batches, [verdict]), given.get("--out"))
     return 0 if result.passed else 1
 
 
-def cmd_plot_data(args: argparse.Namespace, cfg: ScenarioConfig) -> int:
+def cmd_plot_data(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Emit region and plan geometry as JSON for external plotting; renders nothing."""
     from .jsonwriter import plot_data_json
 
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
-    _emit([plot_data_json(cfg.region, plan, cfg.precision)], args.out)
+    _emit([plot_data_json(cfg.region, plan, cfg.precision)], given.get("--out"))
     return 0
+
+
+# Every command: its handler, its help, and its positional's metavar ("": none).
+COMMANDS = {
+    "width-table": (cmd_width_table, "swath width grid over headings and distances", ""),
+    "plan": (cmd_plan, "lay out north-south survey lines", ""),
+    "verify": (cmd_verify, "audit a plan file written by 'plan' against the scenario", "PLAN"),
+    "plot-data": (cmd_plot_data, "emit plan and region geometry as JSON", ""),
+}
 
 
 class _ClosedStdout(io.TextIOBase):
@@ -227,15 +238,23 @@ def _drop_unwritable_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if sys.stdout is None:  # after parsing, which sends --help to stderr then
+    if sys.stdout is None:  # started with fd 1 closed
         sys.stdout = _ClosedStdout()
     try:
-        cfg = _config_from_args(args)
-        code = args.handler(args, cfg)
+        command, given, overrides = parse_args(sys.argv[1:] if argv is None else argv)
+        if "--help" in given:
+            sys.stdout.write(given["--help"])
+            code = 0
+        else:
+            cfg = load_config(given.get("--config"), overrides)
+            code = COMMANDS[command][0](given, cfg)
         sys.stdout.flush()  # a reader that closed the pipe fails here, not at exit
         return code
+    except UsageError as err:
+        command, message = err.args
+        prog = f"swathplan {command}".rstrip()
+        print(f"{_help(command).splitlines()[0]}\n{prog}: error: {message}", file=sys.stderr)
+        return 2
     except (ConfigError, PlanParseError, NonFiniteOutputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         _drop_unwritable_stdout()

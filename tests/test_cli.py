@@ -1240,7 +1240,9 @@ def _modules_loaded(*argv: str) -> set[str]:
 # reads no JSON document, and every writer prints JSON from fixed templates.
 # Only verify compiles the plan reader, and only width-table the stripes.
 # The width-table worker is a bare fork, with no process or pool library.
-NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy"}
+# The command line is read from cli.FLAGS, with no parser library, whose
+# messages would load gettext and, through it, locale.
+NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy", "argparse", "gettext", "locale"}
 READER, STRIPES = "swathplan.planreader", "swathplan.stripes"
 PLAN_LOADS_NONE_OF = NEVER_LOADED | {"json", READER, STRIPES}
 WIDTH_TABLE_LOADS_NONE_OF = NEVER_LOADED | {
@@ -1316,16 +1318,14 @@ def _flag_cases(flag):
 
 
 def _outcome(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as exit_:  # argparse rejected the command line
-        code = exit_.code
-    return (code, *capsys.readouterr())
+    return (main(argv), *capsys.readouterr())
 
 
 @pytest.mark.parametrize("flag", list(FLAG_DOCUMENTS))
 def test_flags_and_config_file_agree(flag, tmp_path, capsys):
-    # a flag acts as its keys in a config file would: same exit code, stdout and stderr
+    # a flag acts as its keys in a config file would: same exit code, stdout and
+    # stderr, whether its value follows "=" or comes as the next argument (which
+    # may start with "-", as "-inf" and "-inf,0" do)
     commands = ["width-table"]  # the only subcommand with the list flags
     if flag not in LIST_FLAG_VALUES:
         commands += ["plan", "plot-data"]
@@ -1334,8 +1334,78 @@ def test_flags_and_config_file_agree(flag, tmp_path, capsys):
     for text, value in _flag_cases(flag):
         path.write_text(json.dumps(FLAG_DOCUMENTS[flag](value)), encoding="utf-8")
         for command in commands:
-            by_flag = _outcome([command, f"{flag}={text}"], capsys)
             by_file = _outcome([command, "--config", str(path)], capsys)
-            if by_flag != by_file:
-                mismatches.append((command, text, by_flag[0::2], by_file[0::2]))
+            for given in ([f"{flag}={text}"], [flag, text]):
+                by_flag = _outcome([command, *given], capsys)
+                if by_flag != by_file:
+                    mismatches.append((command, given, by_flag[0::2], by_file[0::2]))
     assert not mismatches
+
+
+# ------------------------------------------------------------ usage and help
+
+COMMANDS = ["width-table", "plan", "verify", "plot-data"]
+
+
+def _accepted_flags(command):
+    flags = ["--config", "--out", *FLAG_DOCUMENTS]
+    return {flag for flag in flags if command == "width-table" or flag not in LIST_FLAG_VALUES}
+
+
+def _in_and_out_of_process(argv, capsys):
+    """(status, stdout, stderr) of main(argv), then of `python -m swathplan ARGV`."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    proc = run_cli(*argv, timeout=60)
+    return [(code, out, err), (proc.returncode, proc.stdout, proc.stderr)]
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_what_the_command_accepts(command, flag, capsys):
+    argv = [command, flag] if command else [flag]
+    for code, out, err in _in_and_out_of_process(argv, capsys):
+        assert (code, err) == (0, ""), err
+        assert out.startswith(f"usage: swathplan {command}".rstrip() + " [-h]"), out
+        words = set(out.split())
+        if command:  # every flag it takes, and no other
+            assert words & _accepted_flags("width-table") == _accepted_flags(command), out
+        else:
+            assert set(COMMANDS) <= words, out
+
+
+USAGE_ERRORS = [
+    ([], "", "expected a command (width-table, plan, verify, plot-data)"),
+    (["survey"], "", "got 'survey'"),
+    (["plan", "--headings-deg", "0"], "plan", "unrecognized arguments: --headings-deg"),
+    (["verify"], "verify", "the following arguments are required: PLAN"),
+    (["verify", "a.csv", "b.csv"], "verify", "unrecognized arguments: b.csv"),
+] + [
+    ([command, *(["a.csv"] if command == "verify" else []), *tail], command, message)
+    for command in COMMANDS
+    for tail, message in [
+        (["--eta"], "argument --eta: expected one argument"),
+        (["--eta", "abc"], "argument --eta: could not convert string to float: 'abc'"),
+        # flag names are never abbreviated
+        (["--alpha", "2"], "unrecognized arguments: --alpha"),
+    ]
+]
+
+
+@pytest.mark.parametrize("argv, command, message", USAGE_ERRORS)
+def test_usage_errors_exit_2_with_one_error_line(argv, command, message, capsys):
+    prog = f"swathplan {command}".rstrip()
+    for code, out, err in _in_and_out_of_process(argv, capsys):
+        assert (code, out) == (2, ""), err
+        usage, error = err.splitlines()  # and so no traceback
+        assert usage.startswith(f"usage: {prog} [-h]"), err
+        assert error.startswith(f"{prog}: error: ") and message in error, err
+
+
+def test_a_repeated_flag_takes_its_last_value(tmp_path, capsys):
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert main(["plan", "--eta", "0.3", "--out", str(first), "--eta=0.2", f"--out={last}"]) == 0
+    capsys.readouterr()
+    assert main(["plan", "--eta", "0.2"]) == 0
+    assert last.read_text(encoding="utf-8") == capsys.readouterr().out
+    assert not first.exists()

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from swathplan import config
-from swathplan.cli import _config_from_args, build_parser
+from swathplan.cli import parse_args
 from swathplan.config import ConfigError, load_config
 
 
@@ -158,7 +158,8 @@ def test_overrides_replace_fields():
 
 
 def test_alpha_override_moves_both_dips():
-    out = _config_from_args(build_parser().parse_args(["plan", "--alpha-deg", "2.5"]))
+    _, given, overrides = parse_args(["plan", "--alpha-deg", "2.5"])
+    out = load_config(given.get("--config"), overrides)
     assert out.seabed.slope_alpha == 2.5
     assert out.region.slope_alpha == 2.5
 
