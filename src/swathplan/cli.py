@@ -3,6 +3,10 @@
 Exit statuses: 0 success or verification pass, 1 verification failure or an
 infeasible scenario, 2 usage, config or parse errors, or output that cannot
 be written.
+
+Each handler imports the modules its command runs when it runs, so a launch
+compiles only its own command's code: ``width-table`` never the planner or
+the plan files, ``verify`` never the planner, ``plan`` never the audit.
 """
 
 from __future__ import annotations
@@ -17,19 +21,8 @@ from collections.abc import Iterable
 from itertools import chain
 from typing import Any, NoReturn
 
-from .config import ConfigError, ScenarioConfig, load_config
-from .errors import PlanningError
-from .planfile import (
-    NonFiniteOutputError,
-    PlanParseError,
-    plan_summary,
-    read_plan,
-    sig_spec,
-    width_rows_csv,
-    write_plan_csv,
-    write_plan_json,
-)
-from .planner import plan_survey
+from .config import ConfigError, ScenarioConfig, load_config, sig_spec
+from .errors import NonFiniteOutputError, PlanningError, PlanParseError
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -128,7 +121,7 @@ def cmd_width_table(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     The rows come from ``stripes.width_chunks`` in heading order, and each is
     written as it comes.
     """
-    from .stripes import width_chunks  # only width-table compiles the stripes
+    from .stripes import width_chunks, width_rows_csv  # only width-table compiles the stripes
 
     if cfg.format == "json":
         from .jsonwriter import width_rows_json  # only JSON output compiles the templates
@@ -146,6 +139,9 @@ def cmd_width_table(given: dict[str, Any], cfg: ScenarioConfig) -> int:
 
 def cmd_plan(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Plan survey lines for the configured region and write the placement table."""
+    from .planfile import plan_summary, write_plan_csv, write_plan_json
+    from .planner import plan_survey
+
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
     d1 = cfg.region.edge_offset_d1
     if cfg.format == "json":
@@ -170,6 +166,7 @@ REPORT_BATCH = 1_000
 
 def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
+    from .planfile import read_plan
     from .verifier import verify_plan  # a few ms to load, so only this subcommand pays
 
     try:
@@ -199,6 +196,7 @@ def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
 def cmd_plot_data(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Emit region and plan geometry as JSON for external plotting; renders nothing."""
     from .jsonwriter import plot_data_json
+    from .planner import plan_survey
 
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
     _emit([plot_data_json(cfg.region, plan, cfg.precision)], given.get("--out"))
@@ -279,11 +277,18 @@ def run() -> NoReturn:
     run and stdout and stderr are flushed, and then the process ends without
     the interpreter's teardown, which only frees memory the OS takes back. A
     flush that fails leaves the exit to the interpreter, which reports it as
-    any exit does. `main` itself neither freezes nor exits: tests and library
-    callers run it in-process.
+    any exit does, and so does a profiler or tracer attached to the process
+    (`python -m cProfile -o prof.out -m swathplan`, `python -m trace`): it
+    writes its results once this call returns. `main` itself neither freezes
+    nor exits: tests and library callers run it in-process.
     """
     gc.freeze()
     status = main()
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: how cProfile attaches there
+    if sys.getprofile() or sys.gettrace() or (
+        monitoring and monitoring.get_tool(monitoring.PROFILER_ID)
+    ):
+        raise SystemExit(status)
     atexit._run_exitfuncs()
     try:
         for stream in (sys.stdout, sys.stderr):

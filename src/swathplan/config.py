@@ -1,12 +1,19 @@
-"""Scenario configuration: one JSON document, overlaid by a partial one from CLI flags."""
+"""Scenario configuration: one JSON document, overlaid by a partial one from CLI flags.
+
+The ``precision`` setting's number format, ``sig_spec``, lives here too:
+every command that prints a number loads this module anyway.
+"""
 
 from __future__ import annotations
 
 import math
 from typing import Any, NamedTuple
 
-from .geometry import PlanarSeabed, TransducerSpec
-from .planner import METERS_PER_NAUTICAL_MILE, SurveyRegion
+from .geometry import METERS_PER_NAUTICAL_MILE, PlanarSeabed, SurveyRegion, TransducerSpec
+
+# No double has more than 767 significant digits and %g drops trailing zeros,
+# so a larger precision prints the same text, only from a bigger buffer.
+MAX_SIG_DIGITS = 767
 
 
 class ConfigError(ValueError):
@@ -50,6 +57,11 @@ class ScenarioConfig(NamedTuple):
     distances_nm: tuple[float, ...]
     format: str
     precision: int
+
+
+def sig_spec(sig: int) -> str:
+    """The %-format that prints every number but the overlap to ``sig`` digits (plain %g)."""
+    return f"%.{min(sig, MAX_SIG_DIGITS)}g"
 
 
 def _require_number(value: Any, where: str) -> float:

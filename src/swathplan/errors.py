@@ -1,4 +1,8 @@
-"""Exception types shared by the geometry, planning and verification layers."""
+"""Exception types shared by the geometry, planning and verification layers.
+
+The last two are the plan file's: ``cli.main`` reports them as status 2
+without importing the plan files, which ``width-table`` never loads.
+"""
 
 from __future__ import annotations
 
@@ -32,3 +36,11 @@ class NoFeasibleStartError(PlanningError):
 
 class RegionExhaustedError(PlanningError):
     """The seabed surfaces before line placement can finish covering the region."""
+
+
+class PlanParseError(ValueError):
+    """Plan file rejected: wrong shape, header or field values."""
+
+
+class NonFiniteOutputError(ValueError):
+    """A number the output would print does not read back as a finite float."""

@@ -6,6 +6,11 @@ seabed frame puts +x in the downhill direction, so depth grows along +x.
 ``width_table`` computes the depth under a ship on a straight line through
 the frame origin (affine in the along-line distance); the planner and the
 verifier each keep their own depth line across the survey region.
+
+The model records live here too: the bed and the fan, and the survey
+region, a line placement and a plan. Every command reads them, and none
+of their checks is planning arithmetic, so a command that plans nothing
+(``width-table``, ``verify``) builds them without compiling the planner.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .errors import BeamGrazeError, InvalidDepthError
 # Reject cross-track slopes this close (degrees) to the outer-beam angle;
 # the deep-side extent diverges as the beam becomes parallel to the bed.
 GRAZING_MARGIN_DEG = 1e-9
+
+METERS_PER_NAUTICAL_MILE = 1852.0  # by definition
 
 
 class _PlanarSeabed(NamedTuple):
@@ -70,6 +77,85 @@ class TransducerSpec(_TransducerSpec):
     def half_angle(self) -> float:
         """Half opening angle (deg): the tilt of each outer beam from vertical."""
         return 0.5 * self.opening_angle_theta
+
+
+class _SurveyRegion(NamedTuple):
+    width_ew: float  # east-west extent, m
+    length_ns: float  # north-south extent, m
+    center_depth: float  # depth at the region center, m
+    slope_alpha: float  # east-west bed dip, deg
+    edge_offset_d1: float  # depth increase from the region center to the west edge, m
+    west_edge_depth: float  # m: depth(x) = west_edge_depth - x * tan_alpha
+    tan_alpha: float  # tan(slope_alpha): depth falls this many m per m eastward
+
+
+class SurveyRegion(_SurveyRegion):
+    """Rectangular survey region. The deep side is the west edge by convention.
+
+    Built from its four extents; the two edge depths and the dip's tangent
+    derive from them, once, and every depth the planner takes reads them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, width_ew: float, length_ns: float, center_depth: float, slope_alpha: float):
+        if not all(map(math.isfinite, (width_ew, length_ns, center_depth))):
+            raise ValueError("region extents and center depth must be finite")
+        if width_ew <= 0.0 or length_ns <= 0.0:
+            raise ValueError("region extents must be positive")
+        if center_depth <= 0.0:
+            raise ValueError(f"center depth must be positive, got {center_depth}")
+        if not 0.0 <= slope_alpha < 90.0:
+            raise ValueError(f"slope angle must be in [0, 90) degrees, got {slope_alpha}")
+        ta = math.tan(math.radians(slope_alpha))
+        d1 = 0.5 * width_ew * ta
+        return super().__new__(
+            cls, width_ew, length_ns, center_depth, slope_alpha, d1, center_depth + d1, ta
+        )
+
+    def __getnewargs__(self):
+        """The four extents __new__ takes, so copy and pickle rebuild the region."""
+        return self[:4]
+
+    # _replace rebuilds through _make: derive the edge depths and tan_alpha again
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:4]))
+
+
+class _LinePlacement(NamedTuple):
+    x: float
+    swath_width: float  # bed-measured total width, m
+    overlap_with_previous: float | None  # None on the westmost line
+
+
+class LinePlacement(_LinePlacement):
+    """One north-south survey line and the geometry recorded for reports."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace keeps the checks
+
+    def __new__(cls, x: float, swath_width: float, overlap_with_previous: float | None):
+        if not (math.isfinite(x) and math.isfinite(swath_width)):
+            raise ValueError(f"line x and width must be finite, got {x}, {swath_width}")
+        # closed: a plan file prints it to five decimals, so 0 and 1 can read back
+        if overlap_with_previous is not None and not 0.0 <= overlap_with_previous <= 1.0:
+            raise ValueError(f"overlap must be in [0, 1], got {overlap_with_previous}")
+        return super().__new__(cls, x, swath_width, overlap_with_previous)
+
+
+class SurveyPlan(NamedTuple):
+    """Ordered west-to-east line placements plus track totals."""
+
+    placements: tuple[LinePlacement, ...]
+    line_length: float  # north-south length of every line, m
+
+    @property
+    def line_count(self) -> int:
+        return len(self.placements)
+
+    @property
+    def total_track_length(self) -> float:
+        """Summed length of all lines, nautical miles."""
+        return self.line_count * self.line_length / METERS_PER_NAUTICAL_MILE
 
 
 class SwathCrossSection(NamedTuple):

@@ -4,14 +4,20 @@ Each writer prints what ``json.dumps(doc, indent=2)`` prints for its
 document, without building the document: JSON writes a finite float as
 ``float.__repr__``, which is what ``%r`` prints. One rule, ``_layout``, lays
 out every template from the shape of its document, once at import. Only the
-commands that write JSON import this module.
+commands that write JSON import this module, and each writer imports what
+only its own command loads (the planner, the plan files, the width table)
+when it runs.
 """
 
 from __future__ import annotations
 
-from .config import ConfigError
-from .planfile import RATIO_DECIMALS, WidthText, finite_texts, printable_widths, sig_spec
-from .planner import SurveyPlan, SurveyRegion, depth_at_x
+from typing import TYPE_CHECKING
+
+from .config import ConfigError, sig_spec
+from .geometry import SurveyPlan, SurveyRegion
+
+if TYPE_CHECKING:
+    from .stripes import WidthText
 
 
 def _layout(shape: str | list | dict, pad: str) -> str:
@@ -86,6 +92,8 @@ def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> str:
 
     ``summary`` holds the texts ``plan_summary`` rounded and checked.
     """
+    from .planfile import RATIO_DECIMALS
+
     spec = sig_spec(sig)
     rows = [
         _FIRST_PLACEMENT % (float(spec % x), float(spec % width))
@@ -104,6 +112,9 @@ def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> str:
 
 def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> str:
     """Region corners and survey line segments as JSON; refused as ``finite_texts`` says."""
+    from .planfile import finite_texts
+    from .planner import depth_at_x
+
     spec = sig_spec(sig)
     xs = [p.x for p in plan.placements]
     printed = finite_texts(
@@ -135,6 +146,8 @@ def width_rows_json(distances_nm: list[float], sig: int) -> WidthText:
     Raises ConfigError, before any text is made, when two distances print
     alike, since they would share one key.
     """
+    from .stripes import printable_widths
+
     spec = sig_spec(sig)
     labels = [spec % d for d in distances_nm]
     first_with: dict[str, float] = {}

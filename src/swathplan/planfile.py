@@ -1,39 +1,23 @@
-"""Document text: plan files (three-column CSV or JSON) and the CSV width table.
+"""Plan files: three-column CSV or JSON, written by ``plan`` and read by ``verify``.
 
 Every format rounds numeric text to a configured number of significant
 digits so that rewriting a parsed file reproduces it byte for byte. The JSON
 text comes from the fixed templates in ``jsonwriter``, and the parsers that
-``read_plan`` runs live in ``planreader``.
+``read_plan`` runs live in ``planreader``. The width table's text lives in
+``stripes``, so ``width-table`` never compiles this module.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
-from .planner import LinePlacement, SurveyPlan, SurveyRegion
+from .config import sig_spec
+from .errors import NonFiniteOutputError, PlanParseError
+from .geometry import SurveyPlan, SurveyRegion
 
 PLAN_CSV_HEADER = "x_m,overlap_prev,width_m"
 RATIO_DECIMALS = 5
-# A width table's text: its head, the text of row i from (i, heading, widths)
-# with None where no width was computed, and its tail
-WidthText = tuple[str, Callable[[int, float, list[float | None]], str], str]
-# No double has more than 767 significant digits and %g drops trailing zeros,
-# so a larger precision prints the same text, only from a bigger buffer.
-MAX_SIG_DIGITS = 767
-
-
-class PlanParseError(ValueError):
-    """Plan file rejected: wrong shape, header or field values."""
-
-
-class NonFiniteOutputError(ValueError):
-    """A number the output would print does not read back as a finite float."""
-
-
-def sig_spec(sig: int) -> str:
-    """The %-format that prints every number but the overlap to ``sig`` digits (plain %g)."""
-    return f"%.{min(sig, MAX_SIG_DIGITS)}g"
 
 
 def finite_texts(fields: Iterable[tuple[str, float]], sig: int) -> list[str]:
@@ -107,57 +91,19 @@ def write_plan_json(plan: SurveyPlan, edge_offset_d1: float, sig: int) -> str:
     return plan_json(plan, plan_summary(plan, edge_offset_d1, sig), sig)
 
 
-def printable_widths(
-    row: list[float | None], spec: str
-) -> tuple[list[float | None], list[float]]:
-    """The row with None (ERR or null) for each width that cannot print, and
-    the widths that can, in order; both are ``row`` itself when all can.
-
-    A width cannot print when none was computed or when its text at ``spec``
-    reads back as inf. Widths are positive and rounding is monotone, so one
-    format of the greatest width clears a whole row.
-    """
-    widths = [w for w in row if w is not None] if None in row else row
-    if not widths or math.isfinite(float(spec % max(widths))):
-        return row, widths
-    row = [None if w is None or not math.isfinite(float(spec % w)) else w for w in row]
-    return row, [w for w in row if w is not None]
-
-
-def width_rows_csv(distances_nm: list[float], sig: int) -> WidthText:
-    """CSV text of a width table: the header, then one % operation per row."""
-    spec = sig_spec(sig)
-    full_row = ",".join([spec] * len(distances_nm))
-
-    def row_text(i: int, heading: float, row: list[float | None]) -> str:
-        row, widths = printable_widths(row, spec)
-        if widths is row:
-            template = full_row
-        else:
-            template = ",".join("ERR" if w is None else spec for w in row)
-        return spec % heading + "," + template % tuple(widths) + "\n"
-
-    return "heading_deg," + ",".join([spec % d for d in distances_nm]) + "\n", row_text, ""
-
-
 def read_plan(text: str, region: SurveyRegion) -> SurveyPlan:
     """Parse a plan file (CSV or JSON, sniffed from the first character).
 
     The region supplies the line length; totals derive from the row count,
     so a hand-edited file still yields a consistent plan object.
     """
-    from .planreader import rows_from_csv, rows_from_json  # only a plan read compiles the parsers
+    from .planreader import placements_from_csv, placements_from_json  # only a read compiles them
 
     body = text.lstrip()
     if not body:
         raise PlanParseError("empty plan file")
-    rows = rows_from_json(text) if body.startswith(("{", "[")) else rows_from_csv(text)
-    if not rows:
+    reader = placements_from_json if body.startswith(("{", "[")) else placements_from_csv
+    placements = reader(text)
+    if not placements:
         raise PlanParseError("plan file has no placement rows")
-    placements = []
-    for where, x, overlap, width in rows:
-        try:
-            placements.append(LinePlacement(x, width, overlap))
-        except ValueError as err:
-            raise PlanParseError(f"{where}: {err}") from err
     return SurveyPlan(placements=tuple(placements), line_length=region.length_ns)

@@ -1,4 +1,7 @@
-"""The plan file parsers: rows of a CSV or JSON plan, each field checked.
+"""The plan file parsers: the placements of a CSV or JSON plan, each field checked.
+
+Each row becomes its ``LinePlacement`` as it is read. The "line N x_m" text
+that names a row or a field is made only when it is refused.
 
 Only ``planfile.read_plan`` imports this module, when it is called, so only
 a command that reads a plan compiles it.
@@ -6,25 +9,23 @@ a command that reads a plan compiles it.
 
 from __future__ import annotations
 
+from .geometry import LinePlacement
 from .planfile import PLAN_CSV_HEADER, PlanParseError
 
 
-def _parse_float(text: str, where: str) -> float:
+def _parse_float(text: str, lineno: int, name: str) -> float:
+    """The number in field ``name`` of line ``lineno``, which only a refusal names."""
     # float() would also read " 76.6 ", "5_82.517" and non-ASCII digits
     if text != text.strip() or "_" in text or not text.isascii():
-        raise PlanParseError(f"{where}: not a number: {text!r}")
+        raise PlanParseError(f"line {lineno} {name}: not a number: {text!r}")
     try:
         return float(text)
     except ValueError as err:
-        raise PlanParseError(f"{where}: not a number: {text!r}") from err
+        raise PlanParseError(f"line {lineno} {name}: not a number: {text!r}") from err
 
 
-# a parsed row: (where it came from, x, overlap with the previous line, width)
-_Row = tuple[str, float, float | None, float]
-
-
-def rows_from_csv(text: str) -> list[_Row]:
-    rows = []
+def placements_from_csv(text: str) -> list[LinePlacement]:
+    placements = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -40,13 +41,16 @@ def rows_from_csv(text: str) -> list[_Row]:
         fields = line.split(",")
         if len(fields) != 3:
             raise PlanParseError(f"line {lineno}: expected 3 fields, got {len(fields)}")
-        x = _parse_float(fields[0], f"line {lineno} x_m")
-        overlap = None if fields[1] == "" else _parse_float(fields[1], f"line {lineno} overlap")
-        width = _parse_float(fields[2], f"line {lineno} width_m")
-        rows.append((f"line {lineno}", x, overlap, width))
+        x = _parse_float(fields[0], lineno, "x_m")
+        overlap = None if fields[1] == "" else _parse_float(fields[1], lineno, "overlap")
+        width = _parse_float(fields[2], lineno, "width_m")
+        try:
+            placements.append(LinePlacement(x, width, overlap))
+        except ValueError as err:
+            raise PlanParseError(f"line {lineno}: {err}") from err
     if not header_seen:
         raise PlanParseError("no header row found")
-    return rows
+    return placements
 
 
 def _json_float(value: object, key: str) -> float:
@@ -58,7 +62,7 @@ def _json_float(value: object, key: str) -> float:
     return float(value)
 
 
-def rows_from_json(text: str) -> list[_Row]:
+def placements_from_json(text: str) -> list[LinePlacement]:
     import json
 
     try:
@@ -68,7 +72,7 @@ def rows_from_json(text: str) -> list[_Row]:
         raise PlanParseError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("placements"), list):
         raise PlanParseError("JSON plan must be an object with a 'placements' array")
-    rows = []
+    placements = []
     for i, entry in enumerate(doc["placements"]):
         if not isinstance(entry, dict):
             raise PlanParseError(f"placement {i}: expected an object")
@@ -78,7 +82,7 @@ def rows_from_json(text: str) -> list[_Row]:
             overlap = entry.get("overlap_prev")
             if overlap is not None:
                 overlap = _json_float(overlap, "overlap_prev")
+            placements.append(LinePlacement(x, width, overlap))
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise PlanParseError(f"placement {i}: {err}") from err
-        rows.append((f"placement {i}", x, overlap, width))
-    return rows
+    return placements

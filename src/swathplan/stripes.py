@@ -1,4 +1,5 @@
-"""The width-table rows in stripes, computed by this process and a forked worker.
+"""The width table: its CSV text, and its rows in stripes, computed by this
+process and a forked worker.
 
 The headings are cut into stripes of consecutive rows, about ``STRIPE_CELLS``
 cells each. When the grid holds more than one stripe and the platform can
@@ -8,24 +9,62 @@ Each process holds about one stripe however large the grid, and the output is
 the bytes one process alone would write. A one-stripe grid runs the same loop
 with no worker.
 
-Only ``cli.cmd_width_table`` imports this module, when it runs, so no other
-command compiles it.
+The CSV text of a row comes from ``width_rows_csv`` and the JSON text from
+``jsonwriter.width_rows_json``; ``printable_widths`` alone decides, for both,
+which widths print as ERR or null. Only ``cli.cmd_width_table`` imports this
+module, when it runs, so no other command compiles it.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 from collections.abc import Callable, Iterator
 
 from . import geometry
-from .config import ScenarioConfig
-from .planfile import WidthText
-from .planner import METERS_PER_NAUTICAL_MILE
+from .config import ScenarioConfig, sig_spec
+from .geometry import METERS_PER_NAUTICAL_MILE
 
 # About this many cells make one stripe of width-table headings (8 rows of a
 # 1,000-distance grid): the unit the two processes take turns on.
 STRIPE_CELLS = 8_000
+# A width table's text: its head, the text of row i from (i, heading, widths)
+# with None where no width was computed, and its tail
+WidthText = tuple[str, Callable[[int, float, list[float | None]], str], str]
+
+
+def printable_widths(
+    row: list[float | None], spec: str
+) -> tuple[list[float | None], list[float]]:
+    """The row with None (ERR or null) for each width that cannot print, and
+    the widths that can, in order; both are ``row`` itself when all can.
+
+    A width cannot print when none was computed or when its text at ``spec``
+    reads back as inf. Widths are positive and rounding is monotone, so one
+    format of the greatest width clears a whole row.
+    """
+    widths = [w for w in row if w is not None] if None in row else row
+    if not widths or math.isfinite(float(spec % max(widths))):
+        return row, widths
+    row = [None if w is None or not math.isfinite(float(spec % w)) else w for w in row]
+    return row, [w for w in row if w is not None]
+
+
+def width_rows_csv(distances_nm: list[float], sig: int) -> WidthText:
+    """CSV text of a width table: the header, then one % operation per row."""
+    spec = sig_spec(sig)
+    full_row = ",".join([spec] * len(distances_nm))
+
+    def row_text(i: int, heading: float, row: list[float | None]) -> str:
+        row, widths = printable_widths(row, spec)
+        if widths is row:
+            template = full_row
+        else:
+            template = ",".join("ERR" if w is None else spec for w in row)
+        return spec % heading + "," + template % tuple(widths) + "\n"
+
+    return "heading_deg," + ",".join([spec % d for d in distances_nm]) + "\n", row_text, ""
 
 
 def width_chunks(cfg: ScenarioConfig, text: WidthText) -> Iterator[str]:

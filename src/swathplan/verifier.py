@@ -15,8 +15,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .errors import BeamGrazeError, SurfacedSeabedError
-from .geometry import TransducerSpec
-from .planner import SurveyPlan, SurveyRegion
+from .geometry import SurveyPlan, SurveyRegion, TransducerSpec
 
 COARSEST_CELL_M = 0.1
 

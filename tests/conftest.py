@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import swathplan
-from swathplan.geometry import PlanarSeabed, TransducerSpec
-from swathplan.planner import METERS_PER_NAUTICAL_MILE, SurveyRegion, plan_survey
+from swathplan.geometry import METERS_PER_NAUTICAL_MILE, PlanarSeabed, TransducerSpec
+from swathplan.planner import SurveyRegion, plan_survey
 
 
 @pytest.fixture(scope="session", autouse=True)

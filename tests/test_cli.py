@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pstats
 import random
 import subprocess
 import sys
@@ -23,11 +24,15 @@ from swathplan import planner
 from swathplan.cli import main
 from swathplan.config import load_config
 from swathplan.errors import PlanningError
-from swathplan.geometry import PlanarSeabed, TransducerSpec, swath_cross_section, width_table
+from swathplan.geometry import (
+    METERS_PER_NAUTICAL_MILE,
+    PlanarSeabed,
+    TransducerSpec,
+    swath_cross_section,
+    width_table,
+)
 from swathplan.jsonwriter import width_rows_json
-from swathplan.planfile import width_rows_csv
-from swathplan.planner import METERS_PER_NAUTICAL_MILE
-from swathplan.stripes import STRIPE_CELLS, width_chunks
+from swathplan.stripes import STRIPE_CELLS, width_chunks, width_rows_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -1029,6 +1034,39 @@ def test_cli_module_entrypoint():
     assert "Traceback" not in proc.stderr
 
 
+def test_a_profiled_launch_writes_its_profile(tmp_path):
+    # cProfile writes its file once the module it ran returns; run() leaves the
+    # exit to the interpreter while a profiler is attached, so that return comes
+    prof = tmp_path / "prof.out"
+    argv = [sys.executable, "-m", "cProfile", "-o", str(prof), "-m", "swathplan", "plan"]
+    proc = subprocess.run(argv, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "plan.csv").read_bytes()
+    profiled = {name for _, _, name in pstats.Stats(str(prof)).stats}
+    assert {"main", "plan_survey"} <= profiled
+
+
+@pytest.mark.parametrize("status", [0, 1, 2])
+def test_run_under_a_tracer_exits_through_the_interpreter(status):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import atexit, sys\nfrom swathplan import cli\n"
+            "atexit.register(print, 'hook ran')\n"
+            f"cli.main = lambda: {status}\n"
+            "sys.settrace(lambda *args: None)\n"
+            "try:\n    cli.run()\nexcept SystemExit as exit:\n    print('exit', exit.code)\n",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the hooks run once, at the interpreter's exit
+    assert proc.stdout == f"exit {status}\nhook ran\n"
+
+
 def test_outputs_are_deterministic():
     first = run_cli("plan")
     second = run_cli("plan")
@@ -1238,21 +1276,24 @@ def _modules_loaded(*argv: str) -> set[str]:
 
 # No launch needs numpy or the dataclass machinery. A launch from flags alone
 # reads no JSON document, and every writer prints JSON from fixed templates.
-# Only verify compiles the plan reader, and only width-table the stripes.
-# The width-table worker is a bare fork, with no process or pool library.
-# The command line is read from cli.FLAGS, with no parser library, whose
-# messages would load gettext and, through it, locale.
+# Only verify compiles the plan reader and the audit, and only width-table
+# the stripes. Only the commands that plan compile the planner, and only
+# those that write or read a plan file the plan files (``verify`` reads it
+# through planfile.read_plan). The width-table worker is a bare fork, with no
+# process or pool library. The command line is read from cli.FLAGS, with no
+# parser library, whose messages would load gettext and, through it, locale.
 NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy", "argparse", "gettext", "locale"}
 READER, STRIPES = "swathplan.planreader", "swathplan.stripes"
-PLAN_LOADS_NONE_OF = NEVER_LOADED | {"json", READER, STRIPES}
+PLANNER, PLANFILE, VERIFIER = "swathplan.planner", "swathplan.planfile", "swathplan.verifier"
+PLAN_LOADS_NONE_OF = NEVER_LOADED | {"json", READER, STRIPES, VERIFIER}
 WIDTH_TABLE_LOADS_NONE_OF = NEVER_LOADED | {
-    "json", "multiprocessing", "concurrent", "subprocess", READER
+    "json", "multiprocessing", "concurrent", "subprocess", READER, PLANNER, PLANFILE, VERIFIER
 }
 LAUNCH_IMPORTS = [
     (["plan", "--out", "PLAN"], PLAN_LOADS_NONE_OF),
     (["plan", "--alpha-deg", "1.2", "--eta", "0.2"], PLAN_LOADS_NONE_OF),
     (["plan", "--format", "json"], PLAN_LOADS_NONE_OF),
-    (["verify", "PLAN"], NEVER_LOADED | {STRIPES}),
+    (["verify", "PLAN"], NEVER_LOADED | {STRIPES, PLANNER}),
     (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], WIDTH_TABLE_LOADS_NONE_OF),
     (["width-table", "--format", "json"], WIDTH_TABLE_LOADS_NONE_OF),
     # three stripes, so the worker runs

@@ -26,7 +26,7 @@ from oracles import (
 
 from swathplan import planner
 from swathplan.errors import PlanningError
-from swathplan.geometry import TransducerSpec
+from swathplan.geometry import METERS_PER_NAUTICAL_MILE, TransducerSpec
 from swathplan.jsonwriter import _layout, plot_data_json, width_rows_json
 from swathplan.planfile import (
     NonFiniteOutputError,
@@ -35,7 +35,6 @@ from swathplan.planfile import (
     write_plan_json,
 )
 from swathplan.planner import (
-    METERS_PER_NAUTICAL_MILE,
     LinePlacement,
     SurveyPlan,
     SurveyRegion,

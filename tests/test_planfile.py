@@ -88,6 +88,24 @@ def test_read_plan_rejects_malformed_input(region):
         read_plan("{broken", region)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a row refused as a placement (x = inf), then a row with no number
+        (f"{PLAN_CSV_HEADER}\n1.0,,100.0\ninf,,100.0\nabc,,100.0\n", "line 3: line x and width"),
+        (f"{PLAN_CSV_HEADER}\n1.0,,100.0\n2.0,7,100.0\nabc,,100.0\n", "line 3: overlap must"),
+        (
+            '{"placements": [{"x_m": 1e999, "width_m": 100.0}, {"x_m": "abc", "width_m": 1}]}',
+            "placement 0: line x and width",
+        ),
+    ],
+    ids=["csv-inf-x", "csv-overlap", "json-inf-x"],
+)
+def test_read_plan_names_the_first_refused_row(region, text, message):
+    with pytest.raises(PlanParseError, match=f"^{message}"):
+        read_plan(text, region)
+
+
 def test_read_plan_skips_comments_and_blanks(region, reference_plan):
     d1 = region.edge_offset_d1
     text = write_plan_csv(reference_plan, d1, 6)
