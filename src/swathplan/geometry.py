@@ -16,6 +16,7 @@ of their checks is planning arithmetic, so a command that plans nothing
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import BeamGrazeError, InvalidDepthError
@@ -243,17 +244,33 @@ def swath_cross_section(depth: float, gamma_deg: float, xdcr: TransducerSpec) ->
     )
 
 
+class Distances(tuple):
+    """Distances (m) along a line from the frame origin: a width table's columns.
+
+    ``ends`` holds the columns of the least and the greatest distance, found
+    once when the tuple is built. It is empty when no distance is held, or
+    when one is NaN, which orders nothing.
+    """
+
+    def __new__(cls, distances: Iterable[float]) -> Distances:
+        self = super().__new__(cls, distances)
+        ordered = self and not any(map(math.isnan, self))
+        self.ends = (self.index(min(self)), self.index(max(self))) if ordered else ()
+        return self
+
+
 def width_table(
     seabed: PlanarSeabed,
     xdcr: TransducerSpec,
     headings: list[float],
-    distances: list[float],
+    distances: Iterable[float],
 ) -> list[list[float | None]]:
     """Swath total widths (m) for every (heading, distance) pair.
 
     Rows follow ``headings``, columns follow ``distances`` (meters along the
-    line from the frame origin). Cells whose geometry fails (surfaced bed,
-    grazing beam) or whose width overflows to infinity carry None; the rest
+    line from the frame origin; a ``Distances`` is used as it is, any other
+    sequence is made one). Cells whose geometry fails (surfaced bed, grazing
+    beam) or whose depth or width overflows to infinity carry None; the rest
     of the grid keeps computing.
 
     The depth under the ship is affine in the along-line distance, with
@@ -261,7 +278,21 @@ def width_table(
     90/270 follow a depth contour, 180 runs uphill. Width is linear in
     depth, so each row computes its unit-depth width once and each cell
     scales it by that depth.
+
+    Under round-to-nearest each step of a cell, d * cos(beta), then
+    * tan(alpha), then D0 + that, then * the unit width, is monotone in the
+    distance d. So across a row the depths and the widths are monotone: a
+    cell fails only if a cell at one of the two ``ends`` does (the NaN that
+    an infinite distance times tan 0 makes sits there too), and the widest
+    cell is one of those two. A row whose end cells both hold finite widths
+    is filled by one comprehension of the same expression, bit for bit; any
+    other row takes the per-cell loop. On perfbench's 360 x 1,000 grid (291
+    such rows) a row took 144 us with the loop and its scan for inf, and
+    takes 95 us (min of 15 x 100 calls, Python 3.11, 2-core VM).
     """
+    if not isinstance(distances, Distances):
+        distances = Distances(distances)
+    d0 = seabed.reference_depth
     ta = math.tan(math.radians(seabed.slope_alpha))
     rows: list[list[float | None]] = []
     for beta in headings:
@@ -273,10 +304,15 @@ def width_table(
             rows.append([None] * len(distances))
             continue
         cosb = math.cos(math.radians(beta))
+        ends = [d0 + distances[i] * cosb * ta for i in distances.ends]
+        if ends and all(0.0 < depth and depth * unit_width < math.inf for depth in ends):
+            rows.append([(d0 + dist * cosb * ta) * unit_width for dist in distances])
+            continue
         row: list[float | None] = []
         for dist in distances:
-            depth = seabed.reference_depth + dist * cosb * ta
-            row.append(depth * unit_width if depth > 0.0 else None)
+            depth = d0 + dist * cosb * ta
+            # an infinite depth has no width: inf, or NaN under a zero-width fan
+            row.append(depth * unit_width if 0.0 < depth < math.inf else None)
         if math.inf in row:  # a huge distance or a near-grazing fan overflowed
             row = [None if w == math.inf else w for w in row]
         rows.append(row)

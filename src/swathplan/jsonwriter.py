@@ -165,8 +165,8 @@ def width_rows_json(distances_nm: list[float], sig: int) -> WidthText:
 
     full = template([0.0] * len(labels))
 
-    def row_text(i: int, heading: float, row: list[float | None]) -> str:
-        row, widths = printable_widths(row, spec)
+    def row_text(i: int, heading: float, row: list[float | None], ends: tuple[int, ...]) -> str:
+        row, widths = printable_widths(row, spec, ends)
         text = (full if widths is row else template(row)) % (
             heading, *[float(spec % w) for w in widths]
         )

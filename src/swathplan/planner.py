@@ -107,6 +107,25 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
     The overlap of two lines is 1 - d / w_mean, with d their spacing and
     w_mean the mean of their bed-measured widths. Coverage checks elsewhere
     work on horizontal projections, shorter by about a factor cos(alpha).
+
+    The line count is minimal among admissible plans (stay ahead). Call a
+    plan admissible when
+
+    1. its first line's deep edge is at or west of the west boundary,
+    2. each pair of neighbours overlaps at least ``eta_target`` on the bed,
+    3. its last line's shallow edge is at or east of the east boundary.
+
+    With t = tan(alpha), K the width at unit depth, f = (1 - eta) * K and
+    k the deep edge's horizontal reach at unit depth, condition 1 gives
+    x_1 <= D_w * k / (1 + k * t) and condition 2 gives x' <= g(x), where
+    g(x) = x + f * D(x) / (1 + f * t / 2). This plan takes both bounds, and
+    g is increasing whenever a step exists (g' = (1 - f*t/2) / (1 + f*t/2)),
+    so by induction its k-th line is at or east of any admissible plan's
+    k-th line. The shallow edge x + k_sh * D(x) (k_sh its horizontal reach
+    at unit depth) increases with x too, since 1 - k_sh * t > 0 for every
+    fan under 180 deg. So this plan's line of the same index reaches the
+    east boundary as soon as an admissible plan's last line does. Only the
+    ulp nudges, which keep the contracts exact, can give up ground.
     """
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")

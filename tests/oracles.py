@@ -3,10 +3,12 @@
 None is called by the package. ``effective_slope_numeric`` builds the
 cross-track slope from explicit vectors, and ``brute_force_next_line``
 grid-scans the next line's position on the audit's own footprints; both use
-numpy. The document builders below are the writers the package had before it
-wrote JSON from fixed templates: each returns the document (or, for CSV, the
-text) that ``json.dumps(doc, indent=2)`` turned into output. The tests hold
-the library to all of them.
+numpy. ``admissible_bounds`` writes out the bounds that the stay-ahead
+argument for ``plan_survey``'s line count rests on. The document builders
+below are the writers the package had before it wrote JSON from fixed
+templates: each returns the document (or, for CSV, the text) that
+``json.dumps(doc, indent=2)`` turned into output. The tests hold the library
+to all of them.
 """
 
 from __future__ import annotations
@@ -85,6 +87,37 @@ def brute_force_next_line(
     # etas fall with x, so the last ascending hit is the first one met
     # when walking down from the far end
     return float(xs[hits[-1]])
+
+
+def admissible_bounds(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float):
+    """The bounds an admissible plan keeps, each line against the one before.
+
+    Returns ``(x1_max, g, shallow_edge)``: the easternmost first line whose
+    deep edge is at or west of the west boundary; the map from a line at x
+    to the easternmost next line whose bed overlap with it is at least
+    ``eta_target``, g(x) = x + f * D(x) / (1 + f * tan(alpha) / 2) with
+    f = (1 - eta) * K; and the map from a line to its shallow edge's
+    horizontal position. The law-of-sines halves are written out here, so
+    nothing is shared with the planner but the region's fields.
+    """
+    half, a = math.radians(xdcr.half_angle), math.radians(region.slope_alpha)
+    k_deep = math.sin(half) / math.cos(half + a)  # sin(90 - half - alpha) = cos(half + alpha)
+    k_shallow = math.sin(half) / math.cos(half - a)
+    t = math.tan(a)
+    west_depth = region.center_depth + 0.5 * region.width_ew * t
+    k = k_deep * math.cos(a)
+    free = (1.0 - eta_target) * (k_deep + k_shallow)
+
+    def depth(x: float) -> float:
+        return west_depth - x * t
+
+    def g(x: float) -> float:
+        return x + free * depth(x) / (1.0 + 0.5 * free * t)
+
+    def shallow_edge(x: float) -> float:
+        return x + k_shallow * math.cos(a) * depth(x)
+
+    return west_depth * k / (1.0 + k * t), g, shallow_edge
 
 
 def _num(value: float, sig: int) -> float:

@@ -23,11 +23,13 @@ from hypothesis import strategies as st
 from swathplan import planner
 from swathplan.cli import main
 from swathplan.config import load_config
-from swathplan.errors import PlanningError
+from swathplan.errors import BeamGrazeError, PlanningError
 from swathplan.geometry import (
     METERS_PER_NAUTICAL_MILE,
+    Distances,
     PlanarSeabed,
     TransducerSpec,
+    effective_slope,
     swath_cross_section,
     width_table,
 )
@@ -201,6 +203,14 @@ def test_width_table_overflow_prints_err(capsys):
     assert _width_table_text(config, "csv") == "heading_deg,0\n9e+01,ERR\n"
     doc = json.loads(_width_table_text(config, "json"), parse_constant=_no_constants)
     assert doc == [{"heading_deg": 90, "widths_m": {"0": None}}]
+    # an infinite depth under a zero-width fan: inf * 0 is NaN, which is no width
+    argv = ["width-table", "--theta-deg", "5e-324", "--alpha-deg", "1", "--headings-deg", "0",
+            "--distances-nm", "0,9.70676638694555e+304"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,ERR"
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert doc == [{"heading_deg": 0.0, "widths_m": {"0": 0.0, "9.70677e+304": None}}]
 
 
 @st.composite
@@ -408,13 +418,14 @@ def _width_writes(config: dict, fmt: str) -> list[str]:
     row of ``width_table`` over every heading, then the tail."""
     writer = width_rows_json if fmt == "json" else width_rows_csv
     head, row_text, tail = writer(config["distances_nm"], config["precision"])
+    distances = Distances(d * METERS_PER_NAUTICAL_MILE for d in config["distances_nm"])
     grid = width_table(
-        PlanarSeabed(120.0, 45.0),
-        TransducerSpec(120.0),
-        config["headings_deg"],
-        [d * METERS_PER_NAUTICAL_MILE for d in config["distances_nm"]],
+        PlanarSeabed(120.0, 45.0), TransducerSpec(120.0), config["headings_deg"], distances
     )
-    rows = [row_text(i, h, row) for i, (h, row) in enumerate(zip(config["headings_deg"], grid))]
+    rows = [
+        row_text(i, h, row, distances.ends)
+        for i, (h, row) in enumerate(zip(config["headings_deg"], grid))
+    ]
     return [head, *rows, tail]
 
 
@@ -442,6 +453,115 @@ def test_width_table_stripes_print_what_one_process_prints(config):
             assert out.read_text(encoding="utf-8") == "".join(expected)
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@st.composite
+def width_grids(draw):
+    """(seabed, fan, headings, distances in NM, precision) for the row property.
+
+    The distances come unsorted from a small pool, so they repeat, with
+    negatives and zero, some whose widths near the largest double, and some
+    past 9.7e304 NM, which are +-inf in meters (NaN depths on a flat bed).
+    Fans reach to grazing at the contour heading and down to 1e-300 deg and
+    below, where the widths underflow to 0.
+    """
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 89.0)))
+    grazing = 180.0 - 2.0 * alpha  # the contour row's fan grazes at this opening
+    theta = draw(
+        st.one_of(
+            st.floats(1e-300, 179.0),
+            st.floats(0.0, 1e-6).map(lambda gap: grazing - gap),
+            st.sampled_from([1e-300, 1e-310, 5e-324]),
+        ).filter(lambda t: 0.0 < t < 180.0)
+    )
+    depth = draw(st.one_of(st.floats(1e-3, 1e4), st.floats(1e300, 1e308)))
+    heading = st.one_of(
+        st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(0.0, 360.0, exclude_max=True)
+    )
+    far = st.floats(9.7e304, 1e308)
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.floats(-5.0, 5.0), st.just(0.0), st.floats(-9.7e304, 9.7e304),
+                far, far.map(lambda d: -d),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    distances = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    headings = draw(st.lists(heading, min_size=1, max_size=4))
+    seabed, fan = PlanarSeabed(depth, alpha), TransducerSpec(theta)
+    return seabed, fan, headings, distances, draw(st.integers(1, 17))
+
+
+def _per_cell_row(seabed, fan, beta, distances_m):
+    """One width-table row, a cell at a time: depth * unit width where the bed
+    is under water, and None where it is not, the fan grazes or the width is
+    not finite."""
+    try:
+        gamma = effective_slope(seabed.slope_alpha, beta)
+        unit = swath_cross_section(1.0, gamma, fan).total_width
+    except BeamGrazeError:
+        return [None] * len(distances_m)
+    cosb = math.cos(math.radians(beta))
+    ta = math.tan(math.radians(seabed.slope_alpha))
+    row = []
+    for dist in distances_m:
+        depth = seabed.reference_depth + dist * cosb * ta
+        width = depth * unit if depth > 0.0 else None
+        row.append(width if width is None or math.isfinite(width) else None)
+    return row
+
+
+def _bits(rows):
+    return [[w if w is None else w.hex() for w in row] for row in rows]
+
+
+@settings(deadline=None, max_examples=300)
+@given(width_grids())
+# the uphill row's first and last columns hold widths, but its 0.1 NM cell
+# is dry; the downhill row's greatest width sits in that middle column
+@example((PlanarSeabed(120.0, 45.0), TransducerSpec(120.0), [0.0, 180.0], [0.0, 0.1, -0.03], 6))
+# the greatest width prints "2e+308": downhill at the greatest distance,
+# uphill at the least
+@example((PlanarSeabed(120.0, 45.0), TransducerSpec(120.0), [0.0], [0.0, 2.6e304], 1))
+@example((PlanarSeabed(120.0, 45.0), TransducerSpec(120.0), [180.0], [-2.6e304, 0.0], 1))
+# a zero-width fan times an infinite depth is NaN, which is no width either
+@example((PlanarSeabed(1.0, 1.0), TransducerSpec(5e-324), [0.0], [0.0, 9.70676638694555e304], 6))
+def test_width_rows_match_the_per_cell_definition(grid):
+    seabed, fan, headings, distances_nm, sig = grid
+    distances = Distances(d * METERS_PER_NAUTICAL_MILE for d in distances_nm)
+    rows = width_table(seabed, fan, headings, distances)
+    expected_rows = [_per_cell_row(seabed, fan, beta, distances) for beta in headings]
+    # the same floats, bit for bit: == takes -0.0 for 0.0
+    assert _bits(rows) == _bits(expected_rows)
+    assert _bits(width_table(seabed, fan, headings, list(distances))) == _bits(rows)
+    # a cell prints when it holds a width whose text reads back finite
+    spec = f"%.{sig}g"
+    texts = [
+        [spec % w if w is not None and math.isfinite(float(spec % w)) else None for w in row]
+        for row in expected_rows
+    ]
+    _, csv_row, _ = width_rows_csv(distances_nm, sig)
+    for i, (beta, row, cells) in enumerate(zip(headings, rows, texts)):
+        line = spec % beta + "," + ",".join("ERR" if c is None else c for c in cells) + "\n"
+        assert csv_row(i, beta, row, distances.ends) == line
+    labels = [spec % d for d in distances_nm]
+    if len(set(labels)) == len(labels):  # JSON keys the widths by the printed distance
+        head, json_row, tail = width_rows_json(distances_nm, sig)
+        json_rows = [
+            json_row(i, beta, row, distances.ends)
+            for i, (beta, row) in enumerate(zip(headings, rows))
+        ]
+        doc = [
+            {
+                "heading_deg": beta,
+                "widths_m": {k: None if c is None else float(c) for k, c in zip(labels, cells)},
+            }
+            for beta, cells in zip(headings, texts)
+        ]
+        assert head + "".join(json_rows) + tail == json.dumps(doc, indent=2) + "\n"
 
 
 # 20 headings of 1,000 cells: three stripes, the middle one the worker's

@@ -9,6 +9,7 @@ import pytest
 
 from swathplan.errors import BeamGrazeError, InvalidDepthError
 from swathplan.geometry import (
+    Distances,
     PlanarSeabed,
     TransducerSpec,
     effective_slope,
@@ -226,6 +227,19 @@ def test_width_table_marks_failed_cells(xdcr):
     row = width_table(steep, TransducerSpec(179.9), [0.0], [0.0, 1e300 * 1852.0])[0]
     assert row[0] is not None and math.isfinite(row[0])
     assert row[1] is None
+
+
+def test_distances_find_their_end_columns(seabed, xdcr):
+    # unsorted, with repeats: the first column of the least and of the greatest
+    assert Distances([3.0, -1.0, 5.0, -1.0, 5.0]).ends == (1, 2)
+    assert Distances([]).ends == ()
+    assert width_table(seabed, xdcr, [0.0], []) == [[]]
+    # NaN orders nothing, so no column is an end and the row is computed a
+    # cell at a time: the NaN cell is no width, the others are
+    distances = [0.0, math.nan, 1000.0]
+    assert Distances(distances).ends == ()
+    row = width_table(seabed, xdcr, [0.0], distances)[0]
+    assert row[1] is None and row[0] < row[2]
 
 
 def test_model_input_validation():

@@ -133,9 +133,10 @@ def test_plan_writers_match_on_hand_built_plans(placements, length, d1, sig):
 
 
 def _width_json(rows, distances, sig) -> str:
-    """The JSON width table of the (heading, widths) rows, as one string."""
+    """The JSON width table of the (heading, widths) rows, as one string; the
+    rows need not be monotone, so each is scanned whole."""
     head, row_text, tail = width_rows_json(distances, sig)
-    return head + "".join(row_text(i, h, row) for i, (h, row) in enumerate(rows)) + tail
+    return head + "".join(row_text(i, h, row, ()) for i, (h, row) in enumerate(rows)) + tail
 
 
 @settings(deadline=None)

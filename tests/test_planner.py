@@ -7,6 +7,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import admissible_bounds
 
 from swathplan.errors import (
     NoFeasibleStartError,
@@ -374,3 +377,51 @@ def test_plan_survey_swath_budget(region, xdcr, eta, monkeypatch):
     plan = plan_survey(region, xdcr, eta)
     assert plan.line_count > 100
     assert calls <= 5
+
+
+@st.composite
+def admissible_plans(draw):
+    """A scenario, and the fractions of each maximal step an admissible plan takes.
+
+    alpha 0-10 deg, depth 5-500 m, width 0.05-3 NM, theta 30-160 deg and
+    eta 0.02-0.9. The fractions stay at or below 0.9999: a plan that takes
+    the whole floating-point step can pass the greedy by the few ulps its
+    nudges give up, which the theorem leaves out.
+    """
+    region = SurveyRegion(
+        width_ew=draw(st.floats(0.05, 3.0)) * 1852.0,
+        length_ns=1852.0,
+        center_depth=draw(st.floats(5.0, 500.0)),
+        slope_alpha=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+    )
+    fan = TransducerSpec(draw(st.floats(30.0, 160.0)))
+    eta = draw(st.floats(0.02, 0.9))
+    fraction = st.one_of(st.floats(0.05, 0.9999), st.floats(0.999, 0.9999))
+    return region, fan, eta, draw(st.lists(fraction, min_size=1, max_size=8))
+
+
+@settings(deadline=None, max_examples=200)
+@given(admissible_plans())
+def test_no_admissible_plan_has_fewer_lines(drawn):
+    """The stay-ahead theorem in plan_survey's docstring, on drawn plans.
+
+    Each admissible plan places its first line at a fraction of the
+    easternmost admissible start and each later line a fraction of the way
+    to the easternmost admissible next line (``oracles.admissible_bounds``),
+    the fractions taken in turn, until its shallow edge reaches the east
+    boundary. Each of its lines is at or west of plan_survey's line of the
+    same index, and it never has fewer lines.
+    """
+    region, fan, eta, fractions = drawn
+    try:
+        placed = [line.x for line in plan_survey(region, fan, eta).placements]
+    except PlanningError:
+        assume(False)  # grazing fan, no feasible start or a bed that surfaces
+    x1_max, g, shallow_edge = admissible_bounds(region, fan, eta)
+    x = fractions[0] * x1_max
+    for k, greedy_x in enumerate(placed, start=1):
+        assert x <= greedy_x, (k, region, fan, eta)
+        if shallow_edge(x) >= region.width_ew:
+            break
+        x += fractions[k % len(fractions)] * (g(x) - x)
+    assert k == len(placed), (k, region, fan, eta)
