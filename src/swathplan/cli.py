@@ -175,6 +175,7 @@ def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     except (OSError, UnicodeDecodeError) as err:
         raise PlanParseError(f"cannot read plan file: {err}") from err
     plan = read_plan(text, cfg.region)
+    del text  # the placements are read: the audit need not keep the file's text alive
     result = verify_plan(plan, cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max)
     findings = result.findings
     if result.passed:

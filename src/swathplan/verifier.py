@@ -108,38 +108,57 @@ def rasterize_coverage(
 def _raster(
     footprints: Iterable[tuple[float, float]], width: float, n_cells: int
 ) -> CoverageReport:
-    """Coverage of footprints (lo, hi), in line order, on n_cells cells tiling [0, width]."""
+    """Coverage of footprints (lo, hi), in line order, on n_cells cells tiling [0, width].
+
+    Cell i's center is (i + 0.5) * cell and the centers ascend, so the cells
+    with lo <= center <= hi are an index range [first, stop), and lo <= hi
+    gives first <= stop. Each line keeps only its first and its stop: a
+    pair's ratio is taken as its eastern line arrives, from the western
+    line's range and extent. Cell c then lies in #(firsts <= c) - #(stops <= c)
+    footprints, so one sweep of the two lists, each sorted, finds the
+    uncovered runs and the largest multiplicity. Ranges that hold no cell
+    are left out, so no end lies inside an uncovered run, and each
+    uncovered stretch the sweep finds is a whole run. A west-to-east plan
+    gives both lists already ascending, which the sort takes in linear
+    time; any other order takes O(lines log lines) and gives the same report.
+    """
     cell = width / n_cells
-    # cell i's center is (i + 0.5) * cell and the centers ascend, so the
-    # cells with lo <= center <= hi are the index range [first, stop)
-    ranges = []  # (first, stop, footprint extent) per line
+    firsts, stops, ratios = [], [], []
+    west_extent = None
     for lo, hi in footprints:
         first = _centers_below(lo, cell, n_cells, inclusive=False)
         stop = _centers_below(hi, cell, n_cells, inclusive=True)
-        ranges.append((first, stop, hi - lo))
-    # coverage changes only at range ends: +1 at each first, -1 at each stop
-    steps = {0: 0, n_cells: 0}
-    for first, stop, _ in ranges:
-        steps[first] = steps.get(first, 0) + 1
-        steps[stop] = steps.get(stop, 0) - 1
-    ends = sorted(steps)
-    runs: list[list[int]] = []  # uncovered cell runs [start, end)
-    cover = max_cover = 0
-    for start, end in zip(ends, ends[1:]):  # cells [start, end) share one count
-        cover += steps[start]
-        max_cover = max(max_cover, cover)
-        if cover != 0:
-            continue
-        if runs and runs[-1][1] == start:
-            runs[-1][1] = end
-        else:
-            runs.append([start, end])
-    ratios = []
-    for (first_w, stop_w, ext_w), (first_e, stop_e, ext_e) in zip(ranges, ranges[1:]):
-        # footprints narrower than an ulp of x have no extent: the pair reads 0
-        mean = 0.5 * (ext_w + ext_e)
-        shared = max(0, min(stop_w, stop_e) - max(first_w, first_e)) * cell
-        ratios.append(shared / mean if mean > 0.0 else 0.0)
+        extent = hi - lo
+        if west_extent is not None:
+            # footprints narrower than an ulp of x have no extent: the pair reads 0
+            mean = 0.5 * (west_extent + extent)
+            shared = (stop if stop < west_stop else west_stop) - (
+                first if first > west_first else west_first
+            )
+            ratios.append(shared * cell / mean if shared > 0 and mean > 0.0 else 0.0)
+        if first < stop:  # a footprint that holds no cell changes no count
+            firsts.append(first)
+            stops.append(stop)
+        west_first, west_stop, west_extent = first, stop, extent
+    firsts.sort()
+    stops.sort()
+    firsts.append(n_cells)  # sentinels: no cell at n_cells is swept, so no pointer passes them
+    stops.append(n_cells)
+    runs = []  # uncovered cell runs [start, end)
+    cover = max_cover = i = j = start = 0
+    while start < n_cells:  # cells [start, end) share one count
+        while firsts[i] <= start:
+            cover += 1
+            i += 1
+        while stops[j] <= start:
+            cover -= 1
+            j += 1
+        end = firsts[i] if firsts[i] < stops[j] else stops[j]
+        if cover > max_cover:
+            max_cover = cover
+        elif not cover:
+            runs.append((start, end))
+        start = end
     return CoverageReport(
         resolution=cell,
         # n_cells * cell can round above width
@@ -152,12 +171,19 @@ def _raster(
 def _centers_below(x: float, resolution: float, n_cells: int, inclusive: bool) -> int:
     """Number of cell centers (i + 0.5) * resolution below x (at or below if inclusive).
 
-    x / resolution - 0.5 lands within a cell of the answer; the fix-up
-    compares against the very doubles (i + 0.5) * resolution, so the count
-    is exact however the division rounded.
+    x / resolution + 0.5 lands within a cell of the answer k, and mostly on
+    it: when the very doubles (k -+ 0.5) * resolution, the centers beside
+    k, bracket x, k is returned at once. Otherwise the fix-up steps k, from
+    the guess clamped to [0, n_cells], past the centers' doubles one at a
+    time, so the count is exact however the division rounded.
     """
-    guess = min(max(x / resolution - 0.5, -1.0), n_cells)  # clamped first: floor(inf) raises
-    k = min(math.floor(guess) + 1, n_cells)
+    guess = x / resolution + 0.5
+    if 0.0 < guess < n_cells:  # finite, so int() cannot raise, and k + 0.5 is exact
+        k = int(guess)
+        below, above = (k - 0.5) * resolution, (k + 0.5) * resolution
+        if (below <= x < above) if inclusive else (below < x <= above):
+            return k
+    k = math.floor(min(max(guess, 0.0), n_cells))  # clamped first: floor(inf) raises
     while k > 0:
         center = (k - 1 + 0.5) * resolution
         if center < x or (inclusive and center == x):

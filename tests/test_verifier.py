@@ -132,14 +132,18 @@ def _coverage_by_definition(plan, region, xdcr, n_cells):
 
 
 def _perturbed(plan, rng):
-    """The plan with one line dropped, repeated two or three times, or shifted."""
+    """The plan with one line dropped, repeated two or three times, shifted, or
+    swapped with a neighbour."""
     lines = list(plan.placements)
     i = rng.randrange(len(lines))
-    kind = rng.choice(("drop", "repeat", "shift"))
+    kind = rng.choice(("drop", "repeat", "shift", "swap"))
     if kind == "drop":
         del lines[i]
     elif kind == "repeat":
         lines[i:i] = [lines[i]] * rng.randint(2, 3)
+    elif kind == "swap":  # with the next line, or the one before the last (a lone line stays)
+        j = i + 1 if i + 1 < len(lines) else i - 1
+        lines[i], lines[j] = lines[j], lines[i]
     else:
         p = lines[i]
         shift = rng.uniform(-0.5, 0.5) * p.swath_width
@@ -153,23 +157,54 @@ def _assert_matches_definition(plan, region, xdcr, n_cells):
     assert got == _coverage_by_definition(plan, region, xdcr, n_cells)
 
 
+def _random_scenario(rng):
+    """(region, fan): a 0.3-1.5 NM region, flat or dipping up to 12 deg, under a 60-150 deg fan."""
+    alpha = rng.choice((0.0, rng.uniform(0.0, 12.0)))
+    width_ew = rng.uniform(0.3, 1.5) * 1852.0
+    d1 = 0.5 * width_ew * math.tan(math.radians(alpha))
+    region = SurveyRegion(
+        width_ew=width_ew,
+        length_ns=1852.0,
+        center_depth=rng.uniform(d1 + 40.0, d1 + 150.0),
+        slope_alpha=alpha,
+    )
+    return region, TransducerSpec(opening_angle_theta=rng.uniform(60.0, 150.0))
+
+
 def test_rasterize_matches_cell_by_cell_definition(xdcr):
     rng = random.Random(509)
     for n in range(40):
-        alpha = rng.choice((0.0, rng.uniform(0.0, 12.0)))
-        width_ew = rng.uniform(0.3, 1.5) * 1852.0
-        d1 = 0.5 * width_ew * math.tan(math.radians(alpha))
-        region = SurveyRegion(
-            width_ew=width_ew,
-            length_ns=1852.0,
-            center_depth=rng.uniform(d1 + 40.0, d1 + 150.0),
-            slope_alpha=alpha,
-        )
-        fan = TransducerSpec(opening_angle_theta=rng.uniform(60.0, 150.0))
+        region, fan = _random_scenario(rng)
         plan = plan_survey(region, fan, rng.uniform(0.05, 0.5))
         if n % 4:
             plan = _perturbed(plan, rng)
-        _assert_matches_definition(plan, region, fan, rng.choice((100, 173, 400)))
+        n_cells = rng.choice((100, 173, 400))
+        _assert_matches_definition(plan, region, fan, n_cells)
+        # the sweep sorts the range ends: out of order, the lines must still
+        # rasterize as the definition has them
+        shuffled = random.Random(n).sample(plan.placements, len(plan.placements))
+        for lines in (plan.placements[::-1], shuffled):
+            _assert_matches_definition(_plan_of(lines, region), region, fan, n_cells)
+
+
+def test_rasterize_coverage_ignores_line_order():
+    # only the pairwise ratios follow the lines' order; the gaps and the
+    # deepest stack are the same for every permutation of the same lines
+    rng = random.Random(2027)
+    for _ in range(30):
+        region, fan = _random_scenario(rng)
+        plan = plan_survey(region, fan, rng.uniform(0.05, 0.9))
+        for _ in range(rng.randint(0, 3)):
+            plan = _perturbed(plan, rng)
+        report = rasterize_coverage(plan, region, fan)
+        permutations = [plan.placements[::-1]]
+        for _ in range(4):
+            permutations.append(rng.sample(plan.placements, len(plan.placements)))
+        for lines in permutations:
+            permuted = rasterize_coverage(_plan_of(lines, region), region, fan)
+            assert permuted.resolution == report.resolution
+            assert permuted.uncovered_intervals == report.uncovered_intervals
+            assert permuted.max_multiplicity == report.max_multiplicity
 
 
 def test_rasterize_footprints_narrower_than_a_cell(xdcr):
@@ -253,6 +288,25 @@ def test_rasterize_memory_does_not_grow_with_cells(xdcr):
     assert report.uncovered_intervals == ()
     assert len(report.pairwise_overlap_ratios) == len(plan.placements) - 1
     assert peak < 2**20
+
+
+def test_rasterize_memory_per_line(region, xdcr):
+    # the 2,945-line plan at overlap 0.99 on the reference region; per line the
+    # audit keeps two ints (28 B each, 8 B each in its list), one ratio float
+    # (24 B, 8 B in its list, 8 B in the report's tuple), the depth float
+    # (24 B, 8 B in its list) and a slot of the xs list (8 B; the floats are
+    # the plan's): 152 B before the lists' growth headroom. A (first, stop,
+    # extent) tuple kept per line would not fit.
+    plan = plan_survey(region, xdcr, 0.99)
+    assert plan.line_count == 2945
+    tracemalloc.start()
+    try:
+        report = rasterize_coverage(plan, region, xdcr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.uncovered_intervals == ()
+    assert peak < 200 * plan.line_count
 
 
 def test_brute_force_flat_closed_form(xdcr):
