@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import atexit
 import errno
-import gc
 import io
 import os
 import sys
@@ -271,19 +270,17 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> NoReturn:
     """Process entry of `python -m swathplan`, `python -m swathplan.cli` and
-    the `swathplan` script: run `main` on a frozen heap and exit with its status.
+    the `swathplan` script: run `main` and exit with its status.
 
-    Freezing keeps every collection off the objects the imports built, which
-    live until the process ends anyway. Once `main` returns, the atexit hooks
-    run and stdout and stderr are flushed, and then the process ends without
-    the interpreter's teardown, which only frees memory the OS takes back. A
+    Once `main` returns, the atexit hooks run and stdout and stderr are
+    flushed, and then `os._exit(status)` ends the process without the
+    interpreter's teardown, which only frees memory the OS takes back. A
     flush that fails leaves the exit to the interpreter, which reports it as
     any exit does, and so does a profiler or tracer attached to the process
     (`python -m cProfile -o prof.out -m swathplan`, `python -m trace`): it
-    writes its results once this call returns. `main` itself neither freezes
-    nor exits: tests and library callers run it in-process.
+    writes its results once this call returns. `main` itself never exits:
+    tests and library callers run it in-process.
     """
-    gc.freeze()
     status = main()
     monitoring = getattr(sys, "monitoring", None)  # 3.12+: how cProfile attaches there
     if sys.getprofile() or sys.gettrace() or (

@@ -7,7 +7,8 @@ fork, one forked worker computes and formats the odd stripes while this
 process computes the even ones, and this process yields every row in order.
 Each process holds about one stripe however large the grid, and the output is
 the bytes one process alone would write. A one-stripe grid runs the same loop
-with no worker.
+with no worker, and so does a grid whose worker cannot start (no pipe or no
+process to be had).
 
 The CSV text of a row comes from ``width_rows_csv`` and the JSON text from
 ``jsonwriter.width_rows_json``; ``printable_widths`` alone decides, for both,
@@ -124,14 +125,22 @@ def width_chunks(cfg: ScenarioConfig, text: WidthText) -> Iterator[str]:
 
 def _fork_worker(
     stripe: Callable[[int], list[str]], starts: range
-) -> tuple[int, io.BufferedReader]:
+) -> tuple[int, io.BufferedReader | None]:
     """Fork a worker that sends the rows of each stripe in ``starts`` down a pipe.
 
     Each row goes as the length of its UTF-8 text (8 bytes, little-endian),
-    then the text. Returns the worker's pid and the pipe's read end.
+    then the text. Returns the worker's pid and the pipe's read end, or
+    (0, None) when the pipe or the process cannot be made, and then this
+    process computes every stripe.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    fds: tuple[int, ...] = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:  # out of descriptors or processes: no worker
+        for fd in fds:
+            os.close(fd)
+        return 0, None
     if pid == 0:  # the worker prints nothing and ends here on every path
         code = 1
         try:

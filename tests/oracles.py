@@ -4,7 +4,10 @@ None is called by the package. ``effective_slope_numeric`` builds the
 cross-track slope from explicit vectors, and ``brute_force_next_line``
 grid-scans the next line's position on the audit's own footprints; both use
 numpy. ``admissible_bounds`` writes out the bounds that the stay-ahead
-argument for ``plan_survey``'s line count rests on. The document builders
+argument for ``plan_survey``'s line count rests on, and
+``decimal_greedy_count`` runs that greedy in 50-digit decimals with no ulp
+nudge. ``exact_coverage`` measures, in fractions, the coverage the audit's
+raster samples. The document builders
 below are the writers the package had before it wrote JSON from fixed
 templates: each returns the document (or, for CSV, the text) that
 ``json.dumps(doc, indent=2)`` turned into output. The tests hold the library
@@ -14,10 +17,12 @@ to all of them.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
-from swathplan.geometry import TransducerSpec, _check_angles
+from swathplan.geometry import TransducerSpec, _check_angles, swath_cross_section
 from swathplan.planner import SurveyPlan, SurveyRegion, depth_at_x
 from swathplan.verifier import _depths_and_reaches
 
@@ -118,6 +123,75 @@ def admissible_bounds(region: SurveyRegion, xdcr: TransducerSpec, eta_target: fl
         return x + k_shallow * math.cos(a) * depth(x)
 
     return west_depth * k / (1.0 + k * t), g, shallow_edge
+
+
+def decimal_greedy_count(
+    region: SurveyRegion, xdcr: TransducerSpec, eta_target: float, max_lines: int
+) -> int | float:
+    """Lines of the greedy plan worked in 50-digit decimals; inf past ``max_lines``.
+
+    The greedy of ``plan_survey``'s docstring with no ulp nudge: the first
+    line at x_1 = D_w * k / (1 + k * t), each next one at the whole step
+    g(x) = x + f * D(x) / (1 + f * t / 2), until a line's shallow edge
+    x + k_s * cos(alpha) * D(x) is at or east of the east boundary. The
+    unit-depth halves k_d and k_s (from ``swath_cross_section``), t =
+    tan(alpha), D_w, the width and eta are the floats the planner reads,
+    each taken exactly; cos(alpha) is 1 / sqrt(1 + t**2), and
+    k = k_d * cos(alpha), f = (1 - eta) * (k_d + k_s).
+    """
+    unit = swath_cross_section(1.0, region.slope_alpha, xdcr)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k_d, k_s, t = Decimal(unit.half_deep), Decimal(unit.half_shallow), Decimal(region.tan_alpha)
+        west_depth, width = Decimal(region.west_edge_depth), Decimal(region.width_ew)
+        cos_a = 1 / (1 + t * t).sqrt()
+        k, reach = k_d * cos_a, k_s * cos_a
+        free = (1 - Decimal(eta_target)) * (k_d + k_s)
+        x = west_depth * k / (1 + k * t)
+        for lines in range(1, max_lines + 1):
+            depth = west_depth - x * t
+            if x + reach * depth >= width:
+                return lines
+            x += free * depth / (1 + free * t / 2)
+    return math.inf
+
+
+def exact_coverage(footprints, width: float) -> tuple[list, list, int]:
+    """The coverage the audit's raster samples, in exact arithmetic.
+
+    ``footprints`` are the (west end, east end) floats of each line's
+    horizontal footprint, in line order, as the audit computes them; each
+    end is taken as the Fraction it is. A footprint holds its ends. Returns
+
+    - the gaps: the maximal stretches of [0, width] that no footprint
+      holds, as (start, end) Fractions, open where they meet a footprint;
+    - each adjacent pair's ratio: the extent inside [0, width] that both
+      footprints hold over the mean of their two lengths (0 where the mean
+      is 0);
+    - the most footprints that hold any one point of [0, width].
+    """
+    w = Fraction(width)
+    spans = [(Fraction(lo), Fraction(hi)) for lo, hi in footprints]
+    ratios = []
+    for (lo_w, hi_w), (lo_e, hi_e) in zip(spans, spans[1:]):
+        shared = min(hi_w, hi_e, w) - max(lo_w, lo_e, 0)
+        mean = ((hi_w - lo_w) + (hi_e - lo_e)) / 2
+        ratios.append(shared / mean if shared > 0 and mean > 0 else Fraction(0))
+    inside = sorted((max(lo, 0), min(hi, w)) for lo, hi in spans if lo <= w and hi >= 0)
+    gaps, reach = [], Fraction(-1)  # reach: the east end of the union so far
+    for lo, hi in inside:
+        if lo > max(reach, 0):
+            gaps.append((max(reach, 0), lo))
+        reach = max(reach, hi)
+    if reach < w:
+        gaps.append((max(reach, 0), w))
+    # a point holds every footprint that starts at or before it and ends at or after it
+    events = sorted([(lo, 0) for lo, _ in inside] + [(hi, 1) for _, hi in inside])
+    held = most = 0
+    for _, end in events:
+        held += -1 if end else 1
+        most = max(most, held)
+    return gaps, ratios, most
 
 
 def _num(value: float, sig: int) -> float:

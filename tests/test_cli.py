@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import io
 import json
@@ -589,6 +590,27 @@ def test_width_table_without_fork_prints_the_same(monkeypatch, capsys):
     assert capsys.readouterr().out == forked
 
 
+def _open_fds() -> set[str] | None:
+    """This process's open descriptors, where /proc shows them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_width_table_worker_that_cannot_start_prints_the_same(call, monkeypatch, capsys):
+    assert main(["width-table", *WORKER_GRID_FLAGS]) == 0
+    forked = capsys.readouterr().out
+
+    def unavailable(*args):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    fds = _open_fds()
+    monkeypatch.setattr(os, call, unavailable)
+    assert main(["width-table", *WORKER_GRID_FLAGS]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (forked, "")
+    assert _open_fds() == fds  # no pipe end is left open
+
+
 class _PipeClosedAfterOneWrite(_ChunkRecorder):
     """A stdout whose reader goes away after the first write."""
 
@@ -1098,20 +1120,6 @@ def _run_entry(code: str, *argv: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=60,
     )
-
-
-def test_run_calls_main_on_a_frozen_heap():
-    # in a child process, as run() ends the process it runs in
-    proc = _run_entry(
-        "import gc\n"
-        "def recording_main():\n"
-        "    print(gc.get_freeze_count())\n"
-        "    return 0\n"
-        "cli.main = recording_main"
-    )
-    assert proc.returncode == 0, proc.stderr
-    frozen = proc.stdout.split()
-    assert len(frozen) == 1 and int(frozen[0]) > 0
 
 
 @pytest.mark.parametrize("status", [0, 1, 2, 3])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import admissible_bounds
+from oracles import admissible_bounds, decimal_greedy_count
 
 from swathplan.errors import (
     NoFeasibleStartError,
@@ -380,24 +380,28 @@ def test_plan_survey_swath_budget(region, xdcr, eta, monkeypatch):
 
 
 @st.composite
-def admissible_plans(draw):
-    """A scenario, and the fractions of each maximal step an admissible plan takes.
-
-    alpha 0-10 deg, depth 5-500 m, width 0.05-3 NM, theta 30-160 deg and
-    eta 0.02-0.9. The fractions stay at or below 0.9999: a plan that takes
-    the whole floating-point step can pass the greedy by the few ulps its
-    nudges give up, which the theorem leaves out.
-    """
+def scenarios(draw):
+    """(region, fan, eta): alpha 0-10 deg, depth 5-500 m, width 0.05-3 NM,
+    theta 30-160 deg and eta 0.02-0.9."""
     region = SurveyRegion(
         width_ew=draw(st.floats(0.05, 3.0)) * 1852.0,
         length_ns=1852.0,
         center_depth=draw(st.floats(5.0, 500.0)),
         slope_alpha=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
     )
-    fan = TransducerSpec(draw(st.floats(30.0, 160.0)))
-    eta = draw(st.floats(0.02, 0.9))
+    return region, TransducerSpec(draw(st.floats(30.0, 160.0))), draw(st.floats(0.02, 0.9))
+
+
+@st.composite
+def admissible_plans(draw):
+    """A scenario, and the fractions of each maximal step an admissible plan takes.
+
+    The fractions stay at or below 0.9999: a plan that takes the whole
+    floating-point step can pass the greedy by the few ulps its nudges give
+    up, which the theorem leaves out.
+    """
     fraction = st.one_of(st.floats(0.05, 0.9999), st.floats(0.999, 0.9999))
-    return region, fan, eta, draw(st.lists(fraction, min_size=1, max_size=8))
+    return *draw(scenarios()), draw(st.lists(fraction, min_size=1, max_size=8))
 
 
 @settings(deadline=None, max_examples=200)
@@ -425,3 +429,23 @@ def test_no_admissible_plan_has_fewer_lines(drawn):
             break
         x += fractions[k % len(fractions)] * (g(x) - x)
     assert k == len(placed), (k, region, fan, eta)
+
+
+@settings(deadline=None, max_examples=200)
+@given(scenarios())
+def test_line_count_equals_the_exact_greedy(drawn):
+    """plan_survey places as many lines as the greedy worked exactly.
+
+    ``oracles.decimal_greedy_count`` takes each whole step in 50-digit
+    decimals with no ulp nudge, so an equal count shows that the nudges,
+    which keep the contracts exact in floats, cost no line. Plans over 400
+    lines are refused by ``_line_count`` before the first line is placed.
+    """
+    region, fan, eta = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "MAX_LINES", 400)
+        try:
+            placed = plan_survey(region, fan, eta).line_count
+        except PlanningError:
+            assume(False)  # over 400 lines, grazing fan, no feasible start or a dry bed
+    assert placed == decimal_greedy_count(region, fan, eta, 1000), (region, fan, eta)

@@ -7,10 +7,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from swathplan.errors import SurfacedSeabedError
+from swathplan.errors import PlanningError, SurfacedSeabedError
 from swathplan import planner
 from swathplan.geometry import (
     SwathCrossSection,
@@ -20,9 +23,15 @@ from swathplan.geometry import (
 )
 from swathplan.planfile import read_plan, write_plan_csv
 from swathplan.planner import LinePlacement, SurveyPlan, SurveyRegion, plan_survey
-from swathplan.verifier import _depths_and_reaches, _raster, rasterize_coverage, verify_plan
+from swathplan.verifier import (
+    RATIO_SLACK,
+    _depths_and_reaches,
+    _raster,
+    rasterize_coverage,
+    verify_plan,
+)
 
-from oracles import brute_force_next_line
+from oracles import brute_force_next_line, exact_coverage
 
 FLAT_110 = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=0.0)
 # depth chosen so a 120 deg fan spans exactly 400 m on a flat bed
@@ -229,6 +238,22 @@ def test_rasterize_footprints_narrower_than_a_cell(xdcr):
     _assert_matches_definition(plan, region, xdcr, 100)
 
 
+def _edges_around(region, xdcr, center, east):
+    """{edge: the first line position giving it} for the west (or east)
+    footprint edges of the 129 doubles around the flat-bed line position
+    whose edge is center."""
+    side = 1 if east else 0
+    lo, hi = _footprint(region, xdcr, center)
+    x = center - (hi - center) if east else center + (center - lo)
+    for _ in range(64):
+        x = math.nextafter(x, -math.inf)
+    edges = {}
+    for _ in range(129):
+        edges.setdefault(_footprint(region, xdcr, x)[side], x)
+        x = math.nextafter(x, math.inf)
+    return edges
+
+
 def _xs_with_edges_around(region, xdcr, center, east):
     """Line positions whose footprint's west (or east) edge is center, and is
     the nearest double below and above center that such an edge reaches.
@@ -237,15 +262,7 @@ def _xs_with_edges_around(region, xdcr, center, east):
     ends in half an ulp of x, rounding to even skips every other double, so
     the nearest edge beside a center can be two ulps from it.
     """
-    side = 1 if east else 0
-    lo, hi = _footprint(region, xdcr, center)
-    x = center - (hi - center) if east else center + (center - lo)
-    for _ in range(64):
-        x = math.nextafter(x, -math.inf)
-    edges = {}  # edge -> first line position giving it
-    for _ in range(129):
-        edges.setdefault(_footprint(region, xdcr, x)[side], x)
-        x = math.nextafter(x, math.inf)
+    edges = _edges_around(region, xdcr, center, east)
     assert center in edges, f"no line position puts an edge on {center!r}"
     below = max(edge for edge in edges if edge < center)
     above = min(edge for edge in edges if edge > center)
@@ -270,6 +287,134 @@ def test_rasterize_edges_one_ulp_beside_a_center(xdcr, resolution, cells):
     for line in lines:
         _assert_matches_definition(_plan_of([line], region), region, xdcr, n_cells)
     _assert_matches_definition(_plan_of(lines, region), region, xdcr, n_cells)
+
+
+# ------------------------------------------------- the raster against exact coverage
+
+
+def _assert_holds_to_exact_coverage(plan, region, xdcr):
+    """The audit's report on the plan against the exact coverage of its own
+    footprints (``oracles.exact_coverage``).
+
+    Each raster ratio is within one cell over the pair's mean footprint of
+    the exact ratio, and within RATIO_SLACK / 2 of it; each raster gap
+    meets an exact gap; each exact gap wider than two cells meets a raster
+    gap; and no cell lies in more footprints than the most that hold any
+    point of the region.
+    """
+    report = rasterize_coverage(plan, region, xdcr)
+    footprints = [_footprint(region, xdcr, p.x) for p in plan.placements]
+    gaps, ratios, most = exact_coverage(footprints, region.width_ew)
+    cell = Fraction(report.resolution)
+    pairs = zip(footprints, footprints[1:], report.pairwise_overlap_ratios, ratios)
+    for k, ((lo_w, hi_w), (lo_e, hi_e), raster, exact) in enumerate(pairs):
+        mean = (Fraction(hi_w) - Fraction(lo_w) + Fraction(hi_e) - Fraction(lo_e)) / 2
+        error = abs(Fraction(raster) - exact)
+        # the centres' doubles each round by up to half an ulp of the width,
+        # and the raster's float ratio by a few ulps of itself
+        if mean:
+            rounding = Fraction(math.ulp(region.width_ew)) / mean + Fraction(raster) * 2**-50
+            assert error <= cell / mean + rounding, (k, float(error * mean / cell))
+        assert error <= Fraction(RATIO_SLACK) / 2, (k, float(error))
+    raster_gaps = [(Fraction(lo), Fraction(hi)) for lo, hi in report.uncovered_intervals]
+    for lo, hi in raster_gaps:
+        assert any(g_lo < hi and lo < g_hi for g_lo, g_hi in gaps), (float(lo), float(hi))
+    for g_lo, g_hi in gaps:
+        if g_hi - g_lo > 2 * cell:
+            assert any(g_lo < hi and lo < g_hi for lo, hi in raster_gaps), (g_lo, g_hi)
+    assert report.max_multiplicity <= most
+
+
+@st.composite
+def audited_plans(draw):
+    """(plan, region, fan): a plan of plan_survey, perturbed 0-3 times.
+
+    alpha 0 or 0-20 deg, theta 30-160 deg, eta 0.02-0.9, 0.05-3 NM wide and
+    5-2,000 m deeper than D1 at the centre. Plans over 400 lines are
+    refused by ``_line_count`` before the first line is placed.
+    """
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+    width = draw(st.floats(0.05, 3.0)) * 1852.0
+    d1 = 0.5 * width * math.tan(math.radians(alpha))
+    region = SurveyRegion(
+        width_ew=width,
+        length_ns=1852.0,
+        center_depth=d1 + draw(st.floats(5.0, 2000.0)),
+        slope_alpha=alpha,
+    )
+    fan = TransducerSpec(draw(st.floats(30.0, 160.0)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "MAX_LINES", 400)
+        try:
+            plan = plan_survey(region, fan, draw(st.floats(0.02, 0.9)))
+        except PlanningError:
+            assume(False)  # over 400 lines, a grazing fan or no feasible start
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(0, 3))):
+        if plan.placements:  # a plan whose one line was dropped stays empty
+            plan = _perturbed(plan, rng)
+    return plan, region, fan
+
+
+@settings(deadline=None, max_examples=150)
+@given(audited_plans())
+def test_raster_holds_to_exact_coverage(drawn):
+    plan, region, fan = drawn
+    try:
+        _assert_holds_to_exact_coverage(plan, region, fan)
+    except SurfacedSeabedError:
+        assume(False)  # a line shifted to where the bed has surfaced
+
+
+@st.composite
+def lines_beside_centers(draw):
+    """(plan, region, fan) on a flat bed: lines each with one footprint end
+    on a centre of the audit's cells or on the nearest edge below or above
+    it. Each line's west end lies -1 to 0.2 footprint lengths, or -2 to 6
+    cells, from the previous line's east end, so the pairs overlap, touch
+    or leave gaps down to a cell or two. A line whose x lies binades
+    below the centre moves its edge by less than an ulp of the centre per
+    ulp of x; its edge is then the one nearest the centre."""
+    width = draw(st.floats(50.0, 2000.0))
+    region = SurveyRegion(
+        width_ew=width, length_ns=100.0, center_depth=draw(st.floats(0.5, 100.0)), slope_alpha=0.0
+    )
+    fan = TransducerSpec(draw(st.floats(30.0, 160.0)))
+    # every footprint on a flat bed is as wide, so every plan here gets this cell
+    one = LinePlacement(x=0.5 * width, swath_width=1.0, overlap_with_previous=None)
+    cell = rasterize_coverage(_plan_of([one], region), region, fan).resolution
+    n_cells = round(width / cell)
+    lo, hi = _footprint(region, fan, draw(st.floats(0.0, width)))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        east = draw(st.booleans())
+        shift = draw(
+            st.one_of(
+                st.floats(-1.0, 0.2).map(lambda f: f * (hi - lo)),
+                st.integers(-2, 6).map(lambda k: k * cell),
+            )
+        )
+        target = hi + shift + (hi - lo if east else 0.0)
+        i = min(max(math.floor(target / cell), 0), n_cells - 1)
+        center = (i + 0.5) * cell
+        edges = _edges_around(region, fan, center, east)
+        nearest = {
+            "below": max([e for e in edges if e < center], default=None),
+            "on": center if center in edges else None,
+            "above": min([e for e in edges if e > center], default=None),
+        }[draw(st.sampled_from(["below", "on", "above"]))]
+        if nearest is None:  # out of the walk's reach: the edge nearest the centre
+            nearest = min(edges, key=lambda e: abs(e - center))
+        x = edges[nearest]
+        lines.append(LinePlacement(x=x, swath_width=1.0, overlap_with_previous=None))
+        lo, hi = _footprint(region, fan, x)
+    return _plan_of(lines, region), region, fan
+
+
+@settings(deadline=None, max_examples=150)
+@given(lines_beside_centers())
+def test_raster_holds_to_exact_coverage_for_ends_beside_centers(drawn):
+    _assert_holds_to_exact_coverage(*drawn)
 
 
 def test_rasterize_memory_does_not_grow_with_cells(xdcr):
