@@ -1,0 +1,116 @@
+"""The four command handlers: width-table, plan, verify and plot-data.
+
+``cli.main`` imports this module once the command line has parsed and the
+config has loaded, so help, usage errors and config errors never compile it.
+Each handler imports the modules its command runs when it runs, so a launch
+compiles only its own command's code: ``width-table`` never the planner or
+the plan files, ``verify`` never the planner, ``plan`` never the audit.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections.abc import Iterable
+from itertools import chain
+from typing import Any
+
+from .config import ScenarioConfig
+from .errors import PlanParseError
+
+
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks to stdout or to the file at ``out``, each as it comes."""
+    if out is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+
+
+def cmd_width_table(given: dict[str, Any], cfg: ScenarioConfig) -> int:
+    """Swath width per (heading, distance) cell; failed cells print as ERR/null.
+
+    The rows come from ``stripes.width_chunks`` in heading order, and each is
+    written as it comes.
+    """
+    from .stripes import width_chunks, width_rows_csv  # only width-table compiles the stripes
+
+    if cfg.format == "json":
+        from .jsonwriter import width_rows_json  # only JSON output compiles the templates
+
+        text = width_rows_json(cfg.distances_nm, cfg.precision)
+    else:
+        text = width_rows_csv(cfg.distances_nm, cfg.precision)
+    chunks = width_chunks(cfg, text)
+    try:
+        _emit(chunks, given.get("--out"))
+    finally:
+        chunks.close()  # reaps the worker however the writing ended
+    return 0
+
+
+def cmd_plan(given: dict[str, Any], cfg: ScenarioConfig) -> int:
+    """Plan survey lines for the configured region and write the placement table."""
+    from .planfile import plan_summary, write_plan_csv, write_plan_json
+    from .planner import plan_survey
+
+    plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    d1 = cfg.region.edge_offset_d1
+    if cfg.format == "json":
+        body = write_plan_json(plan, d1, cfg.precision)
+    else:
+        body = write_plan_csv(plan, d1, cfg.precision)
+    _emit([body], given.get("--out"))
+    if given.get("--out") is not None:
+        summary = plan_summary(plan, d1, cfg.precision)
+        print(
+            f"{summary['lines']} lines, {summary['total_track_nm']} NM total, "
+            f"D1 = {summary['d1_m']} m"
+        )
+    return 0
+
+
+# Findings per write of a verify report: a write per line would be a system
+# call per finding on unbuffered output, one write of all of them a copy of
+# the whole report.
+REPORT_BATCH = 1_000
+
+
+def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
+    """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
+    from .planfile import read_plan
+    from .verifier import verify_plan  # a few ms to load, so only this subcommand pays
+
+    try:
+        with open(given["PLAN"], encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise PlanParseError(f"cannot read plan file: {err}") from err
+    plan = read_plan(text, cfg.region)
+    del text  # the placements are read: the audit need not keep the file's text alive
+    result = verify_plan(plan, cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max)
+    findings = result.findings
+    if result.passed:
+        verdict = (
+            f"PASS: {plan.line_count} lines cover the region; "
+            f"{len(result.report.pairwise_overlap_ratios)} adjacent pairs inside "
+            f"[{cfg.eta_min:g}, {cfg.eta_max:g}] with slack\n"
+        )
+    else:
+        verdict = f"FAIL: {len(findings)} finding(s)\n"
+    batches = (
+        "".join([f"finding: {finding}\n" for finding in findings[i : i + REPORT_BATCH]])
+        for i in range(0, len(findings), REPORT_BATCH)
+    )
+    _emit(chain(batches, [verdict]), given.get("--out"))
+    return 0 if result.passed else 1
+
+
+def cmd_plot_data(given: dict[str, Any], cfg: ScenarioConfig) -> int:
+    """Emit region and plan geometry as JSON for external plotting; renders nothing."""
+    from .jsonwriter import plot_data_json
+    from .planner import plan_survey
+
+    plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    _emit([plot_data_json(cfg.region, plan, cfg.precision)], given.get("--out"))
+    return 0

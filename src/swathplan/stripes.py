@@ -12,8 +12,8 @@ process to be had).
 
 The CSV text of a row comes from ``width_rows_csv`` and the JSON text from
 ``jsonwriter.width_rows_json``; ``printable_widths`` alone decides, for both,
-which widths print as ERR or null. Only ``cli.cmd_width_table`` imports this
-module, when it runs, so no other command compiles it.
+which widths print as ERR or null. Only ``commands.cmd_width_table`` imports
+this module, when it runs, so no other command compiles it.
 """
 
 from __future__ import annotations

@@ -1380,9 +1380,10 @@ def test_unconvertible_json_number_exits_2(argv, text, where, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def _modules_loaded(*argv: str) -> set[str]:
+def _modules_loaded(*argv: str, status: int = 0) -> set[str]:
     """Modules `python -m swathplan ARGV` imports once the interpreter is up,
-    each by its full name and by its top-level package's."""
+    each by its full name and by its top-level package's; the launch must
+    exit with ``status``."""
     # -X importtime lists on stderr every module the process imports, each
     # after the modules it imported; those up to `site` come with every launch
     proc = subprocess.run(
@@ -1391,7 +1392,7 @@ def _modules_loaded(*argv: str) -> set[str]:
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     names = [
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines()
@@ -1407,12 +1408,16 @@ def _modules_loaded(*argv: str) -> set[str]:
 # Only verify compiles the plan reader and the audit, and only width-table
 # the stripes. Only the commands that plan compile the planner, and only
 # those that write or read a plan file the plan files (``verify`` reads it
-# through planfile.read_plan). The width-table worker is a bare fork, with no
-# process or pool library. The command line is read from cli.FLAGS, with no
-# parser library, whose messages would load gettext and, through it, locale.
+# through planfile.read_plan). Every command compiles the handlers, and a
+# launch that runs none (help, a usage error, a config error) compiles
+# neither them nor anything they import. The width-table worker is a bare
+# fork, with no process or pool library. The command line is read from
+# cli.FLAGS, with no parser library, whose messages would load gettext and,
+# through it, locale.
 NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy", "argparse", "gettext", "locale"}
 READER, STRIPES = "swathplan.planreader", "swathplan.stripes"
 PLANNER, PLANFILE, VERIFIER = "swathplan.planner", "swathplan.planfile", "swathplan.verifier"
+HANDLERS, JSONWRITER = "swathplan.commands", "swathplan.jsonwriter"
 PLAN_LOADS_NONE_OF = NEVER_LOADED | {"json", READER, STRIPES, VERIFIER}
 WIDTH_TABLE_LOADS_NONE_OF = NEVER_LOADED | {
     "json", "multiprocessing", "concurrent", "subprocess", READER, PLANNER, PLANFILE, VERIFIER
@@ -1428,6 +1433,16 @@ LAUNCH_IMPORTS = [
     (["width-table", *WORKER_GRID_FLAGS], WIDTH_TABLE_LOADS_NONE_OF),
     (["plot-data"], PLAN_LOADS_NONE_OF),
 ]
+RUNS_NO_COMMAND = NEVER_LOADED | {
+    HANDLERS, JSONWRITER, PLANNER, PLANFILE, READER, STRIPES, VERIFIER
+}
+# Each launch that runs no command, and its exit status.
+NO_COMMAND_LAUNCHES = [
+    (["--help"], 0),
+    (["plan", "--help"], 0),
+    (["plan", "--no-such-flag"], 2),
+    (["plan", "--config", "MISSING"], 2),
+]
 
 
 def test_launches_load_only_what_they_run(tmp_path):
@@ -1436,7 +1451,13 @@ def test_launches_load_only_what_they_run(tmp_path):
         loaded = _modules_loaded(*[plan if arg == "PLAN" else arg for arg in argv])
         # the gate sees submodules: each command loads what it runs
         assert {"verify": READER, "width-table": STRIPES}.get(argv[0], "swathplan") in loaded, argv
+        assert HANDLERS in loaded, argv
         assert not loaded & banned, (argv, sorted(loaded & banned))
+    missing = str(tmp_path / "missing.json")
+    for argv, status in NO_COMMAND_LAUNCHES:
+        loaded = _modules_loaded(*[missing if a == "MISSING" else a for a in argv], status=status)
+        assert "swathplan.cli" in loaded, argv
+        assert not loaded & RUNS_NO_COMMAND, (argv, sorted(loaded & RUNS_NO_COMMAND))
 
 
 # ------------------------------------------------- flags and config file agree
