@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
-from itertools import chain
 from typing import Any
 
 from .config import ScenarioConfig
@@ -50,19 +49,20 @@ def cmd_width_table(given: dict[str, Any], cfg: ScenarioConfig) -> int:
 
 
 def cmd_plan(given: dict[str, Any], cfg: ScenarioConfig) -> int:
-    """Plan survey lines for the configured region and write the placement table."""
-    from .planfile import plan_summary, write_plan_csv, write_plan_json
+    """Plan survey lines for the configured region and write the placement table.
+
+    The summary is rounded and checked once, before any text is written, so
+    a refused plan writes nothing.
+    """
+    from .planfile import plan_csv as writer, plan_summary
     from .planner import plan_survey
 
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
-    d1 = cfg.region.edge_offset_d1
+    summary = plan_summary(plan, cfg.region.edge_offset_d1, cfg.precision)
     if cfg.format == "json":
-        body = write_plan_json(plan, d1, cfg.precision)
-    else:
-        body = write_plan_csv(plan, d1, cfg.precision)
-    _emit([body], given.get("--out"))
+        from .jsonwriter import plan_json as writer  # only JSON output compiles the templates
+    _emit(writer(plan, summary, cfg.precision), given.get("--out"))
     if given.get("--out") is not None:
-        summary = plan_summary(plan, d1, cfg.precision)
         print(
             f"{summary['lines']} lines, {summary['total_track_nm']} NM total, "
             f"D1 = {summary['d1_m']} m"
@@ -70,15 +70,9 @@ def cmd_plan(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     return 0
 
 
-# Findings per write of a verify report: a write per line would be a system
-# call per finding on unbuffered output, one write of all of them a copy of
-# the whole report.
-REPORT_BATCH = 1_000
-
-
 def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
-    from .planfile import read_plan
+    from .planfile import batched, read_plan
     from .verifier import verify_plan  # a few ms to load, so only this subcommand pays
 
     try:
@@ -98,11 +92,8 @@ def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
         )
     else:
         verdict = f"FAIL: {len(findings)} finding(s)\n"
-    batches = (
-        "".join([f"finding: {finding}\n" for finding in findings[i : i + REPORT_BATCH]])
-        for i in range(0, len(findings), REPORT_BATCH)
-    )
-    _emit(chain(batches, [verdict]), given.get("--out"))
+    lines = (f"finding: {finding}\n" for finding in findings)
+    _emit(batched("", lines, verdict), given.get("--out"))
     return 0 if result.passed else 1
 
 
@@ -112,5 +103,5 @@ def cmd_plot_data(given: dict[str, Any], cfg: ScenarioConfig) -> int:
     from .planner import plan_survey
 
     plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
-    _emit([plot_data_json(cfg.region, plan, cfg.precision)], given.get("--out"))
+    _emit(plot_data_json(cfg.region, plan, cfg.precision), given.get("--out"))
     return 0

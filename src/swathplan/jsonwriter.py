@@ -11,6 +11,7 @@ when it runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .config import ConfigError, sig_spec
@@ -41,8 +42,9 @@ def _layout(shape: str | list | dict, pad: str) -> str:
     return f"{ends[0]}\n{inner}{body}\n{pad}{ends[1]}"
 
 
-# Marks where a document's long array goes: the writers join it in by
-# concatenation, which holds less memory than a ``%`` of the whole text.
+# Marks where the items of a document's long array go: the writers put
+# them in by concatenation, a chunk at a time, never by a ``%`` of the
+# whole text.
 _HOLE = "\0"
 
 
@@ -67,8 +69,8 @@ _FIRST_PLACEMENT, _PLACEMENT = (
 )
 _PLAN_HEAD, _PLAN_TAIL = _document(
     {
-        "placements": _HOLE,
-        "summary": dict.fromkeys(("line_count", "total_track_nm", "line_length_m", "d1_m"), "%r"),
+        "placements": f"[{_HOLE}]",
+        "summary": dict(line_count="%d", total_track_nm="%r", line_length_m="%r", d1_m="%r"),
     }
 )
 _SCENE_HEAD, _SCENE_TAIL = _document(
@@ -76,7 +78,7 @@ _SCENE_HEAD, _SCENE_TAIL = _document(
         "region": {"width_ew_m": "%(w)r", "length_ns_m": "%(length)r"},
         "sea_surface_corners": _corners("0.0", "0.0"),
         "seabed_corners": _corners("%(west)r", "%(east)r"),
-        "survey_lines": _HOLE,
+        "survey_lines": f"[{_HOLE}]",
     }
 )
 # x is rounded once and printed three times
@@ -85,54 +87,55 @@ _SURVEY_LINE = _layout(
 )
 # the width table is one array, streamed a row at a time
 _ROWS_OPEN, _ROWS_NEXT, _ROWS_CLOSE = _document([_HOLE, _HOLE])
+# an array's items one level in, as ``planfile.batched`` takes what goes
+# around them: before the first, between two and after the last
+_ITEMS = _layout([_HOLE, _HOLE], "  ").strip("[]").split(_HOLE)
 
 
-def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> str:
-    """The ``placements`` rows and the ``summary`` object of a plan file.
+def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> Iterator[str]:
+    """The ``placements`` rows and the ``summary`` object of a plan file, in chunks.
 
     ``summary`` holds the texts ``plan_summary`` rounded and checked.
     """
-    from .planfile import RATIO_DECIMALS
+    from .planfile import RATIO_DECIMALS, batched
 
     spec = sig_spec(sig)
-    rows = [
+    rows = (
         _FIRST_PLACEMENT % (float(spec % x), float(spec % width))
         if overlap is None
         else _PLACEMENT % (float(spec % x), round(overlap, RATIO_DECIMALS), float(spec % width))
         for x, width, overlap in plan.placements
-    ]
-    tail = _PLAN_TAIL % (
-        plan.line_count,
-        float(summary["total_track_nm"]),
-        float(summary["line_length_m"]),
-        float(summary["d1_m"]),
     )
-    return _PLAN_HEAD + _layout(rows, "  ") + tail
+    # the summary's texts as the numbers JSON prints; the line count as an int
+    tail = _PLAN_TAIL % tuple(map(float, summary.values()))
+    return batched(_PLAN_HEAD, rows, tail, _ITEMS)
 
 
-def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> str:
-    """Region corners and survey line segments as JSON; refused as ``finite_texts`` says."""
-    from .planfile import finite_texts
+def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> Iterator[str]:
+    """Region corners and survey line segments as JSON, in chunks.
+
+    Raises NonFiniteOutputError, before any text is made, as ``finite_texts``
+    says.
+    """
+    from .planfile import batched, extremes, finite_texts
     from .planner import depth_at_x
 
     spec = sig_spec(sig)
-    xs = [p.x for p in plan.placements]
     printed = finite_texts(
         [
             ("width_ew_m", region.width_ew),
             ("length_ns_m", region.length_ns),
             ("seabed_corners", -depth_at_x(region, 0.0)),
             ("seabed_corners", -depth_at_x(region, region.width_ew)),
-            ("x_m", min(xs, default=0.0)),
-            ("x_m", max(xs, default=0.0)),
+            *extremes(plan)[:2],  # the x column: plot-data prints no width
         ],
         sig,
     )
     scene = dict(zip(("w", "length", "west", "east"), map(float, printed)))
     length = repr(scene["length"])
-    texts = (repr(float(spec % x)) for x in xs)
-    lines = [_SURVEY_LINE % (i, x, x, x, length) for i, x in enumerate(texts, start=1)]
-    return _SCENE_HEAD % scene + _layout(lines, "  ") + _SCENE_TAIL
+    texts = (repr(float(spec % p.x)) for p in plan.placements)
+    lines = (_SURVEY_LINE % (i, x, x, x, length) for i, x in enumerate(texts, start=1))
+    return batched(_SCENE_HEAD % scene, lines, _SCENE_TAIL, _ITEMS)
 
 
 def width_rows_json(distances_nm: list[float], sig: int) -> WidthText:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from swathplan import planner
+from swathplan import planfile, planner
 from swathplan.cli import main
 from swathplan.config import load_config
 from swathplan.errors import BeamGrazeError, PlanningError
@@ -874,9 +874,9 @@ def test_verify_writes_findings_a_batch_at_a_time(tmp_path, monkeypatch):
     lines = stdout.getvalue().splitlines()
     assert lines[-1] == f"FAIL: {len(lines) - 1} finding(s)"
     assert all(line.startswith("finding: ") for line in lines[:-1])
-    findings = len(lines) - 1
-    assert findings > 2000
-    batches = [1000] * (findings // 1000) + [findings % 1000] * (findings % 1000 > 0)
+    findings, size = len(lines) - 1, planfile.ROWS_PER_CHUNK
+    assert findings > 2 * size
+    batches = [size] * (findings // size) + [findings % size] * (findings % size > 0)
     assert [chunk.count("\n") for chunk in stdout.chunks] == [*batches, 1]
 
 
@@ -987,6 +987,21 @@ def test_plot_data_flat_override(capsys):
     assert main(["plot-data", "--alpha-deg", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert all(c[2] == pytest.approx(-110.0) for c in doc["seabed_corners"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["plan"], ["plan", "--format", "json"], ["plot-data"]], ids=["csv", "json", "plot"]
+)
+def test_plan_and_plot_data_memory_per_line(argv, cli_peak_rss_kib):
+    cfg = load_config(None, {"eta_target": 0.999})
+    lines = planner.plan_survey(cfg.region, cfg.transducer, cfg.eta_target).line_count
+    assert lines > 29_000
+    floor_code, floor_kib = cli_peak_rss_kib("plan", "--help")
+    code, kib = cli_peak_rss_kib(*argv, "--eta", "0.999")
+    assert (floor_code, code) == (0, 0)
+    # the placements take about 151 B a line; the whole text held at once
+    # came to 9.2 (CSV), 14.8 (JSON) and 23.5 MiB (plot-data) over the floor
+    assert (kib - floor_kib) * 1024 <= 256 * lines, (kib, floor_kib, lines)
 
 
 # -------------------------------------------------------- errors and plumbing
@@ -1282,10 +1297,15 @@ def test_output_that_prints_non_finite_exits_2(command, fmt, doc, plan_field, pl
         assert proc.returncode == 0, proc.stderr
         assert "Infinity" not in proc.stdout
         return
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: {field} does not print as a finite number")
-    assert proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stdout == ""
+    # a refused output writes nothing, to stdout or to --out, and makes no file
+    out = tmp_path / "out"
+    to_file = run_cli(command, "--config", str(cfg), "--out", str(out), timeout=60)
+    for proc in (proc, to_file):
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {field} does not print as a finite number")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_non_finite_config_exits_2(tmp_path):

@@ -3,7 +3,9 @@
 Each writer is held, over drawn scenarios and hand-built plans, to the
 document builder it replaced (``oracles.py``): JSON output must equal the
 indented dump of that document byte for byte, and CSV output the text of
-the three-call-per-row writer. The layout rule the templates are built
+the three-call-per-row writer. The plan and plot-data writers give their
+text in chunks of rows, so they are held to the same at every chunk
+boundary and at two rows a chunk. The layout rule the templates are built
 from is held to ``json.dumps(doc, indent=2)`` on drawn nested documents.
 """
 
@@ -24,12 +26,14 @@ from oracles import (
     width_rows_document,
 )
 
-from swathplan import planner
+from swathplan import planfile, planner
 from swathplan.errors import PlanningError
 from swathplan.geometry import METERS_PER_NAUTICAL_MILE, TransducerSpec
 from swathplan.jsonwriter import _layout, plot_data_json, width_rows_json
 from swathplan.planfile import (
     NonFiniteOutputError,
+    plan_csv,
+    plan_summary,
     sig_spec,
     write_plan_csv,
     write_plan_json,
@@ -120,7 +124,8 @@ def test_plan_writers_match_the_document_writers(scenario, sig):
 @given(scenarios(), PRECISIONS)
 def test_plot_data_matches_the_document_writer(scenario, sig):
     region, plan = scenario
-    assert plot_data_json(region, plan, sig) == _dump(plot_data_document(region, plan, sig))
+    text = "".join(plot_data_json(region, plan, sig))
+    assert text == _dump(plot_data_document(region, plan, sig))
 
 
 @settings(deadline=None)
@@ -130,6 +135,42 @@ def test_plan_writers_match_on_hand_built_plans(placements, length, d1, sig):
     assume(math.isfinite(plan.total_track_length))
     assert write_plan_json(plan, d1, sig) == _dump(plan_json_document(plan, d1, sig))
     assert write_plan_csv(plan, d1, sig) == plan_csv_text(plan, d1, sig)
+
+
+def test_writer_properties_hold_at_two_rows_a_chunk():
+    # a chunk boundary after every second row, and a last chunk of one row
+    with mock.patch.object(planfile, "ROWS_PER_CHUNK", 2):
+        test_plan_writers_match_the_document_writers()
+        test_plot_data_matches_the_document_writer()
+        test_plan_writers_match_on_hand_built_plans()
+
+
+def _plan_of(lines: int) -> SurveyPlan:
+    """A hand-built plan of ``lines`` lines, each printing differently."""
+    placements = [
+        LinePlacement(100.0 + 37.25 * i, 250.0 - i / 7.0, None if i == 0 else 0.1 + i / 1e6)
+        for i in range(lines)
+    ]
+    return SurveyPlan(tuple(placements), 3704.0)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("batches", [1, 2])
+def test_plan_and_plot_data_match_at_chunk_boundaries(extra, batches, region):
+    # 1, B - 1, B, B + 1, 2B - 1, 2B and 2B + 1 lines, B rows a chunk
+    rows = planfile.ROWS_PER_CHUNK
+    for lines in {1, batches * rows + extra}:
+        plan, d1, sig = _plan_of(lines), 12.5, 6
+        assert write_plan_csv(plan, d1, sig) == plan_csv_text(plan, d1, sig)
+        assert write_plan_json(plan, d1, sig) == _dump(plan_json_document(plan, d1, sig))
+        text = "".join(plot_data_json(region, plan, sig))
+        assert text == _dump(plot_data_document(region, plan, sig))
+        # the rows come a chunk at a time, the head with the first, the tail alone
+        chunks = list(plan_csv(plan, plan_summary(plan, d1, sig), sig))
+        assert [chunk.count("\n") for chunk in chunks] == [
+            *[min(rows, lines - start) + (start == 0) for start in range(0, lines, rows)],
+            1,
+        ]
 
 
 def _width_json(rows, distances, sig) -> str:
