@@ -5,8 +5,7 @@ document, without building the document: JSON writes a finite float as
 ``float.__repr__``, which is what ``%r`` prints. One rule, ``_layout``, lays
 out every template from the shape of its document, once at import. Only the
 commands that write JSON import this module, and each writer imports what
-only its own command loads (the planner, the plan files, the width table)
-when it runs.
+only its own command loads (the planner, the plan files) when it runs.
 """
 
 from __future__ import annotations
@@ -32,14 +31,14 @@ def _layout(shape: str | list | dict, pad: str) -> str:
         return shape
     inner = pad + "  "
     if isinstance(shape, dict):
-        ends, items = "{}", [f'"{key}": {_layout(value, inner)}' for key, value in shape.items()]
+        pair, items = "{}", [f'"{key}": {_layout(value, inner)}' for key, value in shape.items()]
     else:
-        ends, items = "[]", [_layout(item, inner) for item in shape]
+        pair, items = "[]", [_layout(item, inner) for item in shape]
     if not items:
-        return ends
+        return pair
     # the indent rides in the separator, so each item is copied once
     body = (",\n" + inner).join(items)
-    return f"{ends[0]}\n{inner}{body}\n{pad}{ends[1]}"
+    return f"{pair[0]}\n{inner}{body}\n{pad}{pair[1]}"
 
 
 # Marks where the items of a document's long array go: the writers put
@@ -143,14 +142,12 @@ def width_rows_json(distances_nm: list[float], sig: int) -> WidthText:
 
     The head, the rows' texts in order and the tail join to what
     ``json.dumps(doc, indent=2)`` gives for the list of ``{"heading_deg",
-    "widths_m"}`` objects, the printed distances keying the widths. A width
-    that cannot print (``printable_widths``) is null.
+    "widths_m"}`` objects, the printed distances keying the widths. A row's
+    cell holding None is null, and its printable widths fill the others.
 
     Raises ConfigError, before any text is made, when two distances print
     alike, since they would share one key.
     """
-    from .stripes import printable_widths
-
     spec = sig_spec(sig)
     labels = [spec % d for d in distances_nm]
     first_with: dict[str, float] = {}
@@ -168,8 +165,7 @@ def width_rows_json(distances_nm: list[float], sig: int) -> WidthText:
 
     full = template([0.0] * len(labels))
 
-    def row_text(i: int, heading: float, row: list[float | None], ends: tuple[int, ...]) -> str:
-        row, widths = printable_widths(row, spec, ends)
+    def row_text(i: int, heading: float, row: list[float | None], widths: list[float]) -> str:
         text = (full if widths is row else template(row)) % (
             heading, *[float(spec % w) for w in widths]
         )

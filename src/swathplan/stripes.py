@@ -1,19 +1,19 @@
-"""The width table: its CSV text, and its rows in stripes, computed by this
-process and a forked worker.
+"""The width table: its CSV text, and its rows, computed by this process and
+a forked worker.
 
-The headings are cut into stripes of consecutive rows, about ``STRIPE_CELLS``
-cells each. When the grid holds more than one stripe and the platform can
-fork, one forked worker computes and formats the odd stripes while this
-process computes the even ones, and this process yields every row in order.
-Each process holds about one stripe however large the grid, and the output is
-the bytes one process alone would write. A one-stripe grid runs the same loop
-with no worker, and so does a grid whose worker cannot start (no pipe or no
-process to be had).
+When the grid holds more than ``WORKER_CELLS`` cells over two or more
+headings and the platform can fork, one forked worker computes and formats
+the odd rows while this process computes the even ones, and this process
+yields every row in order. Each process holds about one row however large
+the grid, and the output is the bytes one process alone would write. A
+grid of one heading or of no more cells runs the same loop with no worker,
+and so does a grid whose worker cannot start (no pipe or no process to be
+had).
 
-The CSV text of a row comes from ``width_rows_csv`` and the JSON text from
-``jsonwriter.width_rows_json``; ``printable_widths`` alone decides, for both,
-which widths print as ERR or null. Only ``commands.cmd_width_table`` imports
-this module, when it runs, so no other command compiles it.
+``printable_widths`` decides, once per row, which widths print as ERR or
+null; the CSV text of a row comes from ``width_rows_csv`` and the JSON text
+from ``jsonwriter.width_rows_json``. Only ``commands.cmd_width_table``
+imports this module, when it runs, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from . import geometry
 from .config import ScenarioConfig, sig_spec
 from .geometry import METERS_PER_NAUTICAL_MILE
 
-# About this many cells make one stripe of width-table headings (8 rows of a
-# 1,000-distance grid): the unit the two processes take turns on.
-STRIPE_CELLS = 8_000
-# A width table's text: its head, the text of row i from (i, heading, widths,
-# ends), with None where no width was computed and the distances' end columns
-# (see ``printable_widths``), and its tail
-WidthText = tuple[str, Callable[[int, float, list[float | None], tuple[int, ...]], str], str]
+# A grid of more than this many cells, over two or more headings, forks a
+# worker for its odd rows.
+WORKER_CELLS = 8_000
+# A width table's text: its head, the text of row i from (i, heading, row,
+# widths) as ``printable_widths`` returns them, and its tail
+WidthText = tuple[str, Callable[[int, float, list[float | None], list[float]], str], str]
 
 
 def printable_widths(
@@ -71,8 +70,7 @@ def width_rows_csv(distances_nm: list[float], sig: int) -> WidthText:
     spec = sig_spec(sig)
     full_row = ",".join([spec] * len(distances_nm))
 
-    def row_text(i: int, heading: float, row: list[float | None], ends: tuple[int, ...]) -> str:
-        row, widths = printable_widths(row, spec, ends)
+    def row_text(i: int, heading: float, row: list[float | None], widths: list[float]) -> str:
         if widths is row:
             template = full_row
         else:
@@ -87,35 +85,31 @@ def width_chunks(cfg: ScenarioConfig, text: WidthText) -> Iterator[str]:
 
     Each row comes from ``geometry.width_table`` as bound when the row is
     computed, so a wrapper put there after import sees every call. The
-    distances find their end columns once, here, for every row.
+    distances find their end columns once, here, for every row, and
+    ``printable_widths`` sees each row once, before its text is made.
     """
     head, row_text, tail = text
     headings = cfg.headings_deg
+    spec = sig_spec(cfg.precision)
     distances_m = geometry.Distances(d * METERS_PER_NAUTICAL_MILE for d in cfg.distances_nm)
     ends = distances_m.ends
-    size = max(1, STRIPE_CELLS // len(distances_m))
-    starts = range(0, len(headings), size)
 
-    def stripe(start: int) -> list[str]:
-        # a heading at a time, so one row of widths is held besides the texts
-        return [
-            row_text(
-                i, h, geometry.width_table(cfg.seabed, cfg.transducer, [h], distances_m)[0], ends
-            )
-            for i, h in enumerate(headings[start : start + size], start)
-        ]
+    def row(i: int) -> str:
+        # a heading at a time, so one row of widths is held besides its text
+        cells = geometry.width_table(cfg.seabed, cfg.transducer, [headings[i]], distances_m)[0]
+        return row_text(i, headings[i], *printable_widths(cells, spec, ends))
 
     pid = 0  # no worker
-    if len(starts) > 1 and hasattr(os, "fork"):
-        pid, pipe = _fork_worker(stripe, starts[1::2])
+    if (
+        len(headings) > 1
+        and len(headings) * len(distances_m) > WORKER_CELLS
+        and hasattr(os, "fork")
+    ):
+        pid, pipe = _fork_worker(row, range(1, len(headings), 2))
     try:
         yield head
-        for n, start in enumerate(starts):
-            if n % 2 and pid:
-                for heading in headings[start : start + size]:
-                    yield _received(pipe, heading)
-            else:
-                yield from stripe(start)
+        for i, heading in enumerate(headings):
+            yield _received(pipe, heading) if i % 2 and pid else row(i)
         yield tail
     finally:
         if pid:
@@ -123,15 +117,13 @@ def width_chunks(cfg: ScenarioConfig, text: WidthText) -> Iterator[str]:
             os.waitpid(pid, 0)
 
 
-def _fork_worker(
-    stripe: Callable[[int], list[str]], starts: range
-) -> tuple[int, io.BufferedReader | None]:
-    """Fork a worker that sends the rows of each stripe in ``starts`` down a pipe.
+def _fork_worker(row: Callable[[int], str], rows: range) -> tuple[int, io.BufferedReader | None]:
+    """Fork a worker that sends the text of each row in ``rows`` down a pipe.
 
     Each row goes as the length of its UTF-8 text (8 bytes, little-endian),
-    then the text. Returns the worker's pid and the pipe's read end, or
-    (0, None) when the pipe or the process cannot be made, and then this
-    process computes every stripe.
+    then the text, as soon as it is made. Returns the worker's pid and the
+    pipe's read end, or (0, None) when the pipe or the process cannot be
+    made, and then this process computes every row.
     """
     fds: tuple[int, ...] = ()
     try:
@@ -145,9 +137,9 @@ def _fork_worker(
         code = 1
         try:
             os.close(read_fd)
-            for start in starts:
-                texts = [text.encode() for text in stripe(start)]
-                data = memoryview(b"".join(len(t).to_bytes(8, "little") + t for t in texts))
+            for i in rows:
+                text = row(i).encode()
+                data = memoryview(len(text).to_bytes(8, "little") + text)
                 while data:
                     data = data[os.write(write_fd, data) :]
             code = 0

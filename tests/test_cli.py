@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from swathplan import planfile, planner
 from swathplan.cli import main
-from swathplan.config import load_config
+from swathplan.config import load_config, sig_spec
 from swathplan.errors import BeamGrazeError, PlanningError
 from swathplan.geometry import (
     METERS_PER_NAUTICAL_MILE,
@@ -35,7 +35,7 @@ from swathplan.geometry import (
     width_table,
 )
 from swathplan.jsonwriter import width_rows_json
-from swathplan.stripes import STRIPE_CELLS, width_chunks, width_rows_csv
+from swathplan.stripes import WORKER_CELLS, printable_widths, width_chunks, width_rows_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -381,10 +381,10 @@ def test_width_table_json_memory_stays_flat(tmp_path, cli_peak_rss_kib):
     assert kib - floor_kib <= 4 * 1024, (kib, floor_kib)
 
 
-# ------------------------------------------------- width-table stripes and worker
+# ---------------------------------------------------- width-table rows and worker
 
 
-def _stripe_config(headings: list[float], n_distances: int, first: int, sig: int) -> dict:
+def _grid_config(headings: list[float], n_distances: int, first: int, sig: int) -> dict:
     """A width-table config on a 45 deg bed, where heading 90 grazes (an
     all-ERR row) and up- and downhill rows surface past 0.065 NM (ERR cells).
     Its distances step by 1e-4 NM from ``first`` of those steps, so at 4 or
@@ -399,19 +399,20 @@ def _stripe_config(headings: list[float], n_distances: int, first: int, sig: int
 
 
 @st.composite
-def stripe_grids(draw):
-    """Width-table configs whose grids hold one stripe, or many with the last
-    one partial or whole."""
+def worker_grids(draw):
+    """Width-table configs with an odd or an even number of headings. Grids
+    of 900 distances or more fall on either side of ``WORKER_CELLS``; smaller
+    ones hold no more cells than that."""
     n_distances = draw(
-        st.one_of(st.integers(1, 40), st.integers(900, 2700), st.just(STRIPE_CELLS + 1))
+        st.one_of(st.integers(1, 40), st.integers(900, 2700), st.just(WORKER_CELLS + 1))
     )
-    size = max(1, STRIPE_CELLS // n_distances)
+    most_alone = WORKER_CELLS // n_distances  # the most headings with no worker
     heading = st.one_of(
         st.sampled_from([0.0, 90.0, 180.0]), st.floats(0.0, 360.0, exclude_max=True)
     )
-    headings = draw(st.lists(heading, min_size=1, max_size=min(4 * size + 1, 40)))
+    headings = draw(st.lists(heading, min_size=1, max_size=min(2 * most_alone + 3, 40)))
     first, sig = draw(st.integers(-3000, 500)), draw(st.integers(4, 17))
-    return _stripe_config(headings, n_distances, first, sig)
+    return _grid_config(headings, n_distances, first, sig)
 
 
 def _width_writes(config: dict, fmt: str) -> list[str]:
@@ -423,19 +424,21 @@ def _width_writes(config: dict, fmt: str) -> list[str]:
     grid = width_table(
         PlanarSeabed(120.0, 45.0), TransducerSpec(120.0), config["headings_deg"], distances
     )
+    spec = sig_spec(config["precision"])
     rows = [
-        row_text(i, h, row, distances.ends)
+        row_text(i, h, *printable_widths(row, spec, distances.ends))
         for i, (h, row) in enumerate(zip(config["headings_deg"], grid))
     ]
     return [head, *rows, tail]
 
 
 @settings(deadline=None, max_examples=20)
-@given(stripe_grids())
-@example(_stripe_config([0.0, 90.0, 180.0], 8, -500, 6))  # one stripe
-@example(_stripe_config([float(h) for h in range(0, 190, 10)], 1000, -800, 6))  # 8, 8, 3 rows
-@example(_stripe_config([float(h) for h in range(0, 160, 10)], 1000, -800, 17))  # 8 and 8 rows
-@example(_stripe_config([0.0, 90.0, 180.0], STRIPE_CELLS + 1, -3000, 4))  # a row per stripe
+@given(worker_grids())
+@example(_grid_config([0.0, 90.0, 180.0], 8, -500, 6))  # no worker
+@example(_grid_config([float(h) for h in range(0, 80, 10)], 1000, -800, 6))  # 8,000: no worker
+@example(_grid_config([float(h) for h in range(0, 190, 10)], 1000, -800, 6))  # a worker for 9 rows
+@example(_grid_config([float(h) for h in range(0, 160, 10)], 1000, -800, 17))  # ... for 8 rows
+@example(_grid_config([0.0, 90.0, 180.0], WORKER_CELLS + 1, -3000, 4))  # a worker for row 1 of 3
 def test_width_table_stripes_print_what_one_process_prints(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "grid.json"
@@ -544,16 +547,17 @@ def test_width_rows_match_the_per_cell_definition(grid):
         [spec % w if w is not None and math.isfinite(float(spec % w)) else None for w in row]
         for row in expected_rows
     ]
+    printable = [printable_widths(row, sig_spec(sig), distances.ends) for row in rows]
     _, csv_row, _ = width_rows_csv(distances_nm, sig)
-    for i, (beta, row, cells) in enumerate(zip(headings, rows, texts)):
+    for i, (beta, row, cells) in enumerate(zip(headings, printable, texts)):
         line = spec % beta + "," + ",".join("ERR" if c is None else c for c in cells) + "\n"
-        assert csv_row(i, beta, row, distances.ends) == line
+        assert csv_row(i, beta, *row) == line
     labels = [spec % d for d in distances_nm]
     if len(set(labels)) == len(labels):  # JSON keys the widths by the printed distance
         head, json_row, tail = width_rows_json(distances_nm, sig)
         json_rows = [
-            json_row(i, beta, row, distances.ends)
-            for i, (beta, row) in enumerate(zip(headings, rows))
+            json_row(i, beta, *row)
+            for i, (beta, row) in enumerate(zip(headings, printable))
         ]
         doc = [
             {
@@ -565,7 +569,7 @@ def test_width_rows_match_the_per_cell_definition(grid):
         assert head + "".join(json_rows) + tail == json.dumps(doc, indent=2) + "\n"
 
 
-# 20 headings of 1,000 cells: three stripes, the middle one the worker's
+# 20 headings of 1,000 cells: the worker makes the 10 odd rows
 WORKER_GRID = {"headings_deg": [float(h) for h in range(20)],
                "distances_nm": [0.003 * i for i in range(1000)]}
 WORKER_GRID_FLAGS = ["--headings-deg", ",".join(map(repr, WORKER_GRID["headings_deg"])),
@@ -579,6 +583,33 @@ def test_width_table_worker_is_reaped_when_the_rows_stop():
     assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # the worker runs
     chunks.close()
     with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "n_headings, n_distances, forks",
+    [(8, 8, 0), (8, 1000, 0), (1, 9000, 0), (2, 4000, 0), (9, 1000, 1), (2, 4001, 1)],
+)
+def test_width_table_forks_a_worker_only_past_worker_cells(
+    n_headings, n_distances, forks, monkeypatch
+):
+    # the default 8 x 8 grid, which perfbench's reference and dense_overlap
+    # run, never forks; nor does a grid of one heading
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    grid = {"headings_deg": [float(h) for h in range(n_headings)],
+            "distances_nm": [0.003 * i for i in range(n_distances)]}
+    cfg = load_config(None, grid)
+    chunks = list(width_chunks(cfg, width_rows_csv(cfg.distances_nm, cfg.precision)))
+    assert len(chunks) == 1 + n_headings + 1
+    assert len(calls) == forks
+    with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
@@ -630,15 +661,15 @@ def test_width_table_closed_pipe_reaps_the_worker(monkeypatch, capsys):
 
 def test_width_table_worker_failure_exits_2(monkeypatch, capsys):
     def failing(seabed, xdcr, headings, distances):
-        if 10.0 in headings:  # in the second stripe, which the worker computes
+        if 1.0 in headings:  # the worker's first row
             raise ValueError("no width here")
         return width_table(seabed, xdcr, headings, distances)
 
-    monkeypatch.setattr("swathplan.geometry.width_table", failing)  # the stripes call it there
+    monkeypatch.setattr("swathplan.geometry.width_table", failing)  # the rows call it there
     assert main(["width-table", *WORKER_GRID_FLAGS]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: the width-table worker ended before heading 8.0\n"
-    assert len(captured.out.splitlines()) == 1 + 8  # the header and the first stripe
+    assert captured.err == "error: the width-table worker ended before heading 1.0\n"
+    assert len(captured.out.splitlines()) == 1 + 1  # the header and the first row
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1449,7 +1480,7 @@ LAUNCH_IMPORTS = [
     (["verify", "PLAN"], NEVER_LOADED | {STRIPES, PLANNER}),
     (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], WIDTH_TABLE_LOADS_NONE_OF),
     (["width-table", "--format", "json"], WIDTH_TABLE_LOADS_NONE_OF),
-    # three stripes, so the worker runs
+    # 20,000 cells, so the worker runs
     (["width-table", *WORKER_GRID_FLAGS], WIDTH_TABLE_LOADS_NONE_OF),
     (["plot-data"], PLAN_LOADS_NONE_OF),
 ]

@@ -44,6 +44,7 @@ from swathplan.planner import (
     SurveyRegion,
     plan_survey,
 )
+from swathplan.stripes import printable_widths
 
 PRECISIONS = st.one_of(st.integers(1, 17), st.just(767))
 # drawn plans stay at or below this many lines: the planner refuses longer ones
@@ -177,7 +178,9 @@ def _width_json(rows, distances, sig) -> str:
     """The JSON width table of the (heading, widths) rows, as one string; the
     rows need not be monotone, so each is scanned whole."""
     head, row_text, tail = width_rows_json(distances, sig)
-    return head + "".join(row_text(i, h, row, ()) for i, (h, row) in enumerate(rows)) + tail
+    spec = sig_spec(sig)
+    texts = (row_text(i, h, *printable_widths(row, spec, ())) for i, (h, row) in enumerate(rows))
+    return head + "".join(texts) + tail
 
 
 @settings(deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -98,11 +99,27 @@ def test_read_plan_rejects_malformed_input(region):
             '{"placements": [{"x_m": 1e999, "width_m": 100.0}, {"x_m": "abc", "width_m": 1}]}',
             "placement 0: line x and width",
         ),
+        # float() reads each of these three fields
+        (f"{PLAN_CSV_HEADER}\n3_58.522,,100.0\n", "line 2 x_m: not a number: '3_58.522'"),
+        (f"{PLAN_CSV_HEADER}\n1,, 686.1\n", "line 2 width_m: not a number: ' 686.1'"),
+        (
+            f"{PLAN_CSV_HEADER}\n\u0663\u0665\u0668,,100.0\n",
+            "line 2 x_m: not a number: '\u0663\u0665\u0668'",
+        ),
+        ("# a note\n\n# and another\n", "no header row found"),
+        (
+            '{"placements": [{"x_m": true, "width_m": 100.0}]}',
+            "placement 0: x_m must be a number, got true",
+        ),
+        ('{"placements": [1]}', "placement 0: expected an object"),
     ],
-    ids=["csv-inf-x", "csv-overlap", "json-inf-x"],
+    ids=[
+        "csv-inf-x", "csv-overlap", "json-inf-x", "csv-underscore", "csv-inner-space",
+        "csv-non-ascii-digits", "csv-comments-only", "json-true-x", "json-not-an-object",
+    ],
 )
 def test_read_plan_names_the_first_refused_row(region, text, message):
-    with pytest.raises(PlanParseError, match=f"^{message}"):
+    with pytest.raises(PlanParseError, match=f"^{re.escape(message)}"):
         read_plan(text, region)
 
 
