@@ -4,7 +4,8 @@
 config has loaded, so help, usage errors and config errors never compile it.
 Each handler imports the modules its command runs when it runs, so a launch
 compiles only its own command's code: ``width-table`` never the planner or
-the plan files, ``verify`` never the planner, ``plan`` never the audit.
+the plan files, ``verify`` never the planner or the plan writers, ``plan``
+never the audit or the parsers.
 """
 
 from __future__ import annotations
@@ -71,30 +72,40 @@ def cmd_plan(given: dict[str, Any], cfg: ScenarioConfig) -> int:
 
 
 def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
-    """Audit a plan file: raster coverage, pairwise overlap band, width ordering."""
-    from .planfile import batched, read_plan
-    from .verifier import verify_plan  # a few ms to load, so only this subcommand pays
+    """Audit a plan file: raster coverage, pairwise overlap band, width ordering.
+
+    A CSV plan's rows go from the open file into the audit a line at a time,
+    so neither the file's text nor a placement per line is held; a JSON
+    plan is parsed whole.
+    """
+    from .chunks import batched
+    from .planreader import plan_rows
+    from .verifier import audit  # a few ms to load, so only this subcommand pays
 
     try:
         with open(given["PLAN"], encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                lines, findings, _ = audit(
+                    plan_rows(fh), cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max, None
+                )
+            except PlanParseError:
+                # a byte that is not UTF-8 further on still refuses the whole
+                # file first, as when the file was read whole
+                for _ in fh:
+                    pass
+                raise
     except (OSError, UnicodeDecodeError) as err:
         raise PlanParseError(f"cannot read plan file: {err}") from err
-    plan = read_plan(text, cfg.region)
-    del text  # the placements are read: the audit need not keep the file's text alive
-    result = verify_plan(plan, cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max)
-    findings = result.findings
-    if result.passed:
+    if findings:
+        verdict = f"FAIL: {len(findings)} finding(s)\n"
+    else:
         verdict = (
-            f"PASS: {plan.line_count} lines cover the region; "
-            f"{len(result.report.pairwise_overlap_ratios)} adjacent pairs inside "
+            f"PASS: {lines} lines cover the region; {lines - 1} adjacent pairs inside "
             f"[{cfg.eta_min:g}, {cfg.eta_max:g}] with slack\n"
         )
-    else:
-        verdict = f"FAIL: {len(findings)} finding(s)\n"
-    lines = (f"finding: {finding}\n" for finding in findings)
-    _emit(batched("", lines, verdict), given.get("--out"))
-    return 0 if result.passed else 1
+    texts = (f"finding: {finding}\n" for finding in findings)
+    _emit(batched("", texts, verdict), given.get("--out"))
+    return 1 if findings else 0
 
 
 def cmd_plot_data(given: dict[str, Any], cfg: ScenarioConfig) -> int:

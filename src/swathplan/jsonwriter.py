@@ -86,7 +86,7 @@ _SURVEY_LINE = _layout(
 )
 # the width table is one array, streamed a row at a time
 _ROWS_OPEN, _ROWS_NEXT, _ROWS_CLOSE = _document([_HOLE, _HOLE])
-# an array's items one level in, as ``planfile.batched`` takes what goes
+# an array's items one level in, as ``chunks.batched`` takes what goes
 # around them: before the first, between two and after the last
 _ITEMS = _layout([_HOLE, _HOLE], "  ").strip("[]").split(_HOLE)
 
@@ -96,7 +96,8 @@ def plan_json(plan: SurveyPlan, summary: dict[str, str], sig: int) -> Iterator[s
 
     ``summary`` holds the texts ``plan_summary`` rounded and checked.
     """
-    from .planfile import RATIO_DECIMALS, batched
+    from .chunks import batched
+    from .planfile import RATIO_DECIMALS
 
     spec = sig_spec(sig)
     rows = (
@@ -116,7 +117,8 @@ def plot_data_json(region: SurveyRegion, plan: SurveyPlan, sig: int) -> Iterator
     Raises NonFiniteOutputError, before any text is made, as ``finite_texts``
     says.
     """
-    from .planfile import batched, extremes, finite_texts
+    from .chunks import batched
+    from .planfile import extremes, finite_texts
     from .planner import depth_at_x
 
     spec = sig_spec(sig)

@@ -2,50 +2,25 @@
 
 Every format rounds numeric text to a configured number of significant
 digits so that rewriting a parsed file reproduces it byte for byte. The JSON
-text comes from the fixed templates in ``jsonwriter``, and the parsers that
-``read_plan`` runs live in ``planreader``. The width table's text lives in
-``stripes``, so ``width-table`` never compiles this module. A plan, a
-plot-data scene and a ``verify`` report are written a chunk of rows at a
-time (``batched``), so no command holds the whole text.
+text comes from the fixed templates in ``jsonwriter``. The parsers live in
+``planreader``: ``verify`` runs them on the open file and never compiles
+this module, and ``read_plan`` builds a plan object from their rows. The
+width table's text lives in ``stripes``, so ``width-table`` never compiles
+this module either. A plan and a plot-data scene are written a chunk of
+rows at a time (``chunks.batched``), so no command holds the whole text.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from collections.abc import Iterable, Iterator
 
+from .chunks import PLAN_CSV_HEADER, batched
 from .config import sig_spec
-from .errors import NonFiniteOutputError, PlanParseError
-from .geometry import SurveyPlan, SurveyRegion
+from .errors import NonFiniteOutputError
+from .geometry import LinePlacement, SurveyPlan, SurveyRegion
 
-PLAN_CSV_HEADER = "x_m,overlap_prev,width_m"
 RATIO_DECIMALS = 5
-# Rows per chunk of a plan file, a plot-data scene or a verify report. A
-# write per row would be a system call per row on unbuffered output, and one
-# write of all of them a copy of the whole text. A chunk of 100 rows is
-# 4-20 KB of text, less than the planner holds in passing, so the largest
-# plans peak at the planner's own placements.
-ROWS_PER_CHUNK = 100
-
-
-def batched(
-    head: str, texts: Iterable[str], tail: str, around: Sequence[str] = ("", "", "")
-) -> Iterator[str]:
-    """``head``, the texts and ``tail``, ``ROWS_PER_CHUNK`` texts a chunk.
-
-    The head goes out with the first chunk of texts, the tail after the
-    last. ``around`` holds what goes before the first text, between two and
-    after the last; none of it goes in when there are no texts, as a JSON
-    array prints ``[]``. The texts are taken as the chunks are, so a lazy
-    ``texts`` holds one chunk's rows at a time.
-    """
-    first, sep, last = around
-    texts, lead, end = iter(texts), head + first, head
-    while batch := list(islice(texts, ROWS_PER_CHUNK)):
-        yield lead + sep.join(batch)
-        lead, end = sep, last
-    yield end + tail
 
 
 def finite_texts(fields: Iterable[tuple[str, float]], sig: int) -> list[str]:
@@ -136,15 +111,11 @@ def read_plan(text: str, region: SurveyRegion) -> SurveyPlan:
     """Parse a plan file (CSV or JSON, sniffed from the first character).
 
     The region supplies the line length; totals derive from the row count,
-    so a hand-edited file still yields a consistent plan object.
+    so a hand-edited file still yields a consistent plan object. The rows
+    come from ``planreader.plan_rows``, which ``verify`` feeds straight from
+    the file into the audit.
     """
-    from .planreader import placements_from_csv, placements_from_json  # only a read compiles them
+    from .planreader import plan_rows  # only a read compiles the parsers
 
-    body = text.lstrip()
-    if not body:
-        raise PlanParseError("empty plan file")
-    reader = placements_from_json if body.startswith(("{", "[")) else placements_from_csv
-    placements = reader(text)
-    if not placements:
-        raise PlanParseError("plan file has no placement rows")
-    return SurveyPlan(placements=tuple(placements), line_length=region.length_ns)
+    rows = plan_rows(text.splitlines(keepends=True))
+    return SurveyPlan(tuple(LinePlacement(*row) for row in rows), region.length_ns)

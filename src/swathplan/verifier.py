@@ -6,7 +6,7 @@ D tan h / (1 -+ tan h tan alpha) from the line, minus on the deep (west)
 side, a ray-plane intersection that shares no arithmetic with the planner's
 law of sines. The raster finds the cells a footprint holds from its two
 ends, never per cell, so its time and memory grow with the line count, not
-the cell count.
+the cell count. ``verify`` feeds ``audit`` a CSV plan's rows from the file.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ COARSEST_CELL_M = 0.1
 RATIO_SLACK = 0.005
 
 GRAZING_MARGIN_DEG = 1e-9  # the planner's, so the audit refuses the fans it refuses
+
+__all__ = ["CoverageReport", "VerificationResult", "audit", "rasterize_coverage", "verify_plan"]
 
 
 class CoverageReport(NamedTuple):
@@ -57,12 +59,10 @@ class VerificationResult(NamedTuple):
     report: CoverageReport
 
 
-def _depths_and_reaches(region: SurveyRegion, xdcr: TransducerSpec, xs: list) -> tuple:
-    """Depths D under lines at xs and the fan's deep and shallow reach.
-
-    D(x) = west-edge depth - x * tan(alpha), and a line at x insonifies
-    [x - D * deep reach, x + D * shallow reach]. Dry bed under an x raises.
-    """
+def _fan(region: SurveyRegion, xdcr: TransducerSpec) -> tuple:
+    """tan(alpha) and the fan's deep and shallow reach: a line at x, D(x) =
+    west-edge depth - x * tan(alpha) deep, insonifies [x - D * deep, x + D *
+    shallow]. A fan that grazes the bed raises."""
     half = xdcr.half_angle
     if region.slope_alpha >= 90.0 - half - GRAZING_MARGIN_DEG:
         raise BeamGrazeError(
@@ -70,72 +70,96 @@ def _depths_and_reaches(region: SurveyRegion, xdcr: TransducerSpec, xs: list) ->
             f"the {90.0 - half:.6g} deg limit for a {xdcr.opening_angle_theta:g} deg opening"
         )
     ta = math.tan(math.radians(region.slope_alpha))
-    depths = [region.west_edge_depth - x * ta for x in xs]
-    for x, depth in zip(xs, depths):
-        if depth <= 0.0:
-            raise SurfacedSeabedError(f"surfaced seabed: depth {depth:.3f} m at x = {x:.3f} m")
     th = math.tan(math.radians(half))
-    return depths, th / (1.0 - th * ta), th / (1.0 + th * ta)
+    return ta, th / (1.0 - th * ta), th / (1.0 + th * ta)
 
 
-def rasterize_coverage(
-    plan: SurveyPlan, region: SurveyRegion, xdcr: TransducerSpec
-) -> CoverageReport:
-    """Measure coverage of a plan on a raster of cell centers.
+def audit(
+    rows: Iterable[tuple],
+    region: SurveyRegion,
+    xdcr: TransducerSpec,
+    eta_min: float,
+    eta_max: float,
+    ratios: list | None,
+    n_cells: int = 0,
+) -> tuple[int, list[str], CoverageReport]:
+    """The line count, findings and coverage report of lines given as rows.
 
-    A cell belongs to a line's swath when its center lies inside the line's
-    horizontal footprint, derived here from the region and the fan rather
-    than trusted from the plan. An empty plan yields one uncovered interval
-    spanning the whole region.
+    Each row is ``(x, width, overlap)``, as a ``LinePlacement`` or a row of
+    ``planreader.plan_rows`` is, taken once in plan order. Each pair's order
+    and width shape is checked as its eastern line arrives; x is kept until
+    every row is in (the cell size comes from the narrowest footprint, the
+    easternmost line's), then two cell indices per line. Each pair's ratio
+    goes to ``ratios`` when one is given, and so into the report.
 
-    The raster tiles the region width W with n = max(ceil(W / t), 100)
-    cells of W / n, so the last center lies half a cell inside the east
-    edge. The target cell t is the finer of COARSEST_CELL_M and
-    RATIO_SLACK / 2 of the narrowest footprint, but no finer than W * 2**-52,
-    which keeps every cell index an exact double. A pair's rasterized
-    shared extent is off by under one cell, so t keeps each ratio's raster
-    error within half the slack.
+    Findings: uncovered intervals, pairwise rasterized overlap ratios
+    outside [eta_min - RATIO_SLACK, eta_max + RATIO_SLACK], lines out of
+    strict west-to-east order, and widths that grow eastward on a sloped bed
+    or differ on a flat one (printed widths round monotonically, so
+    neighbours may print equal). A grazing fan or dry bed under an x raises
+    once every row is read, so a refused row comes first.
+
+    The raster tiles the region width W with n = max(ceil(W / t), 100) cells
+    of W / n (or ``n_cells``). The target cell t is the finer of
+    COARSEST_CELL_M and RATIO_SLACK / 2 of the narrowest footprint, but no
+    finer than W * 2**-52, which keeps every cell index an exact double; a
+    pair's shared extent is off by under one cell, so each ratio's raster
+    error stays within half the slack. Cell i's center is (i + 0.5) * cell,
+    so a footprint holds the index range [first, stop), and cell c lies in
+    #(firsts <= c) - #(stops <= c) footprints: one sweep of the two sorted
+    lists finds the uncovered runs and the largest multiplicity. A range
+    that holds no cell is left out, so each uncovered stretch found is a
+    whole run. West-to-east lines give both lists in order, which the sort
+    takes in linear time; any other order takes O(lines log lines).
     """
-    xs = [p.x for p in plan.placements]
-    depths, reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, xs)
-    narrowest = min(depths, default=math.inf) * (reach_deep + reach_shallow)
-    width = region.width_ew
-    target = max(min(COARSEST_CELL_M, 0.5 * RATIO_SLACK * narrowest), width * 2.0**-52)
-    footprints = ((x - d * reach_deep, x + d * reach_shallow) for x, d in zip(xs, depths))
-    return _raster(footprints, width, max(math.ceil(width / target), 100))
+    xs, pair_findings = [], []
+    sloped = region.slope_alpha > 0.0  # else flat: a region holds 0 <= alpha < 90
+    shape = "width grows eastward" if sloped else "width not constant on a flat bed"
+    for x, width, _ in rows:
+        if xs:  # a finding's text is formatted only for a pair that has one
+            if not west_x < x:
+                pair_findings.append(
+                    f"lines {len(xs)}-{len(xs) + 1}: not west to east "
+                    f"({west_x:.4f} -> {x:.4f} m)"
+                )
+            if width > west_width if sloped else width != west_width:
+                pair_findings.append(
+                    f"lines {len(xs)}-{len(xs) + 1}: {shape} "
+                    f"({west_width:.4f} -> {width:.4f} m)"
+                )
+        xs.append(x)
+        west_x, west_width = x, width
 
-
-def _raster(
-    footprints: Iterable[tuple[float, float]], width: float, n_cells: int
-) -> CoverageReport:
-    """Coverage of footprints (lo, hi), in line order, on n_cells cells tiling [0, width].
-
-    Cell i's center is (i + 0.5) * cell and the centers ascend, so the cells
-    with lo <= center <= hi are an index range [first, stop), and lo <= hi
-    gives first <= stop. Each line keeps only its first and its stop: a
-    pair's ratio is taken as its eastern line arrives, from the western
-    line's range and extent. Cell c then lies in #(firsts <= c) - #(stops <= c)
-    footprints, so one sweep of the two lists, each sorted, finds the
-    uncovered runs and the largest multiplicity. Ranges that hold no cell
-    are left out, so no end lies inside an uncovered run, and each
-    uncovered stretch the sweep finds is a whole run. A west-to-east plan
-    gives both lists already ascending, which the sort takes in linear
-    time; any other order takes O(lines log lines) and gives the same report.
-    """
-    cell = width / n_cells
-    firsts, stops, ratios = [], [], []
-    west_extent = None
-    for lo, hi in footprints:
-        first = _centers_below(lo, cell, n_cells, inclusive=False)
-        stop = _centers_below(hi, cell, n_cells, inclusive=True)
+    ta, reach_deep, reach_shallow = _fan(region, xdcr)
+    west_depth, span = region.west_edge_depth, region.width_ew
+    narrowest = (west_depth - max(xs) * ta) * (reach_deep + reach_shallow) if xs else math.inf
+    target = max(min(COARSEST_CELL_M, 0.5 * RATIO_SLACK * narrowest), span * 2.0**-52)
+    n_cells = n_cells or max(math.ceil(span / target), 100)
+    cell = span / n_cells
+    band_lo, band_hi = eta_min - RATIO_SLACK, eta_max + RATIO_SLACK
+    band_findings, firsts, stops = [], [], []
+    for i, x in enumerate(xs):
+        depth = west_depth - x * ta
+        if depth <= 0.0:  # the first dry line, before the sweep reads the cells
+            raise SurfacedSeabedError(f"surfaced seabed: depth {depth:.3f} m at x = {x:.3f} m")
+        lo, hi = x - depth * reach_deep, x + depth * reach_shallow
+        first = _centers_below(lo, cell, n_cells, False)
+        stop = _centers_below(hi, cell, n_cells, True)
         extent = hi - lo
-        if west_extent is not None:
+        if i:
             # footprints narrower than an ulp of x have no extent: the pair reads 0
             mean = 0.5 * (west_extent + extent)
             shared = (stop if stop < west_stop else west_stop) - (
                 first if first > west_first else west_first
             )
-            ratios.append(shared * cell / mean if shared > 0 and mean > 0.0 else 0.0)
+            ratio = shared * cell / mean if shared > 0 and mean > 0.0 else 0.0
+            if ratios is not None:
+                ratios.append(ratio)
+            if not band_lo <= ratio <= band_hi:
+                band_findings.append(
+                    f"lines {i}-{i + 1}: rasterized overlap {ratio:.5f} outside "
+                    f"[{band_lo:.5f}, {band_hi:.5f}]"
+                )
         if first < stop:  # a footprint that holds no cell changes no count
             firsts.append(first)
             stops.append(stop)
@@ -144,7 +168,7 @@ def _raster(
     stops.sort()
     firsts.append(n_cells)  # sentinels: no cell at n_cells is swept, so no pointer passes them
     stops.append(n_cells)
-    runs = []  # uncovered cell runs [start, end)
+    uncovered = []
     cover = max_cover = i = j = start = 0
     while start < n_cells:  # cells [start, end) share one count
         while firsts[i] <= start:
@@ -156,16 +180,24 @@ def _raster(
         end = firsts[i] if firsts[i] < stops[j] else stops[j]
         if cover > max_cover:
             max_cover = cover
-        elif not cover:
-            runs.append((start, end))
+        elif not cover:  # n_cells * cell can round above the region width
+            uncovered.append((start * cell, min(end * cell, span)))
         start = end
-    return CoverageReport(
-        resolution=cell,
-        # n_cells * cell can round above width
-        uncovered_intervals=tuple((start * cell, min(end * cell, width)) for start, end in runs),
-        pairwise_overlap_ratios=tuple(ratios),
-        max_multiplicity=max_cover,
+    findings = [f"uncovered interval [{lo:.3f}, {hi:.3f}] m" for lo, hi in uncovered]
+    return (
+        len(xs),
+        findings + band_findings + pair_findings,
+        CoverageReport(cell, tuple(uncovered), tuple(ratios or ()), max_cover),
     )
+
+
+def rasterize_coverage(
+    plan: SurveyPlan, region: SurveyRegion, xdcr: TransducerSpec
+) -> CoverageReport:
+    """``audit``'s raster coverage report of a plan: a cell is in a line's
+    swath when its center lies in the footprint the region and fan give the
+    line. An empty plan yields one uncovered interval spanning the region."""
+    return verify_plan(plan, region, xdcr, -math.inf, math.inf).report
 
 
 def _centers_below(x: float, resolution: float, n_cells: int, inclusive: bool) -> int:
@@ -204,42 +236,6 @@ def verify_plan(
     eta_min: float,
     eta_max: float,
 ) -> VerificationResult:
-    """Pass/fail coverage audit of a plan.
-
-    Fails on any uncovered interval, any pairwise rasterized overlap ratio
-    outside [eta_min - RATIO_SLACK, eta_max + RATIO_SLACK], lines out of
-    strict west-to-east order, or bed-measured widths that break the bed's
-    shape: on a sloped bed they must not grow eastward, on a flat bed they
-    must all be equal. A plan file rounds widths to its printed digits, and
-    rounding is monotone, so neighbours on a gentle slope may print equal
-    widths but never growing ones. The raster is rasterize_coverage's.
-    """
-    report = rasterize_coverage(plan, region, xdcr)
-    findings = []
-    for lo, hi in report.uncovered_intervals:
-        findings.append(f"uncovered interval [{lo:.3f}, {hi:.3f}] m")
-    band_lo, band_hi = eta_min - RATIO_SLACK, eta_max + RATIO_SLACK
-    for i, ratio in enumerate(report.pairwise_overlap_ratios):
-        if not band_lo <= ratio <= band_hi:
-            findings.append(
-                f"lines {i + 1}-{i + 2}: rasterized overlap {ratio:.5f} outside "
-                f"[{band_lo:.5f}, {band_hi:.5f}]"
-            )
-    sloped, flat = region.slope_alpha > 0.0, region.slope_alpha == 0.0
-    # a finding's text is formatted only for a pair that has one
-    for i, (west, east) in enumerate(zip(plan.placements, plan.placements[1:])):
-        if not west.x < east.x:
-            findings.append(
-                f"lines {i + 1}-{i + 2}: not west to east ({west.x:.4f} -> {east.x:.4f} m)"
-            )
-        if sloped and east.swath_width > west.swath_width:
-            shape = "width grows eastward"
-        elif flat and east.swath_width != west.swath_width:
-            shape = "width not constant on a flat bed"
-        else:
-            continue
-        findings.append(
-            f"lines {i + 1}-{i + 2}: {shape} "
-            f"({west.swath_width:.4f} -> {east.swath_width:.4f} m)"
-        )
-    return VerificationResult(passed=not findings, findings=tuple(findings), report=report)
+    """Pass/fail coverage audit of a plan: ``audit``'s findings and report."""
+    _, findings, report = audit(plan.placements, region, xdcr, eta_min, eta_max, [])
+    return VerificationResult(not findings, tuple(findings), report)

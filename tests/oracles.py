@@ -7,7 +7,8 @@ numpy. ``admissible_bounds`` writes out the bounds that the stay-ahead
 argument for ``plan_survey``'s line count rests on, and
 ``decimal_greedy_count`` runs that greedy in 50-digit decimals with no ulp
 nudge. ``exact_coverage`` measures, in fractions, the coverage the audit's
-raster samples. The document builders
+raster samples, and ``verify_read_whole`` prints the ``verify`` report as
+the command did when it read a plan file whole. The document builders
 below are the writers the package had before it wrote JSON from fixed
 templates: each returns the document (or, for CSV, the text) that
 ``json.dumps(doc, indent=2)`` turned into output. The tests hold the library
@@ -22,9 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from swathplan.errors import PlanningError, PlanParseError, SurfacedSeabedError
 from swathplan.geometry import TransducerSpec, _check_angles, swath_cross_section
+from swathplan.planfile import read_plan
 from swathplan.planner import SurveyPlan, SurveyRegion, depth_at_x
-from swathplan.verifier import _depths_and_reaches
+from swathplan.verifier import _fan, verify_plan
 
 
 def effective_slope_numeric(alpha_deg: float, beta_deg: float) -> float:
@@ -69,7 +72,10 @@ def brute_force_next_line(
         raise ValueError(f"scan step must be positive, got {step}")
     if not 0.0 < eta_target < 1.0:
         raise ValueError(f"overlap target must be in (0, 1), got {eta_target}")
-    (depth_prev,), reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x_prev])
+    ta, reach_deep, reach_shallow = _fan(region, xdcr)
+    depth_prev = region.west_edge_depth - x_prev * ta
+    if depth_prev <= 0.0:
+        raise SurfacedSeabedError(f"surfaced seabed: depth {depth_prev:.3f} m at x = {x_prev:.3f} m")
     a = math.radians(region.slope_alpha)
     # the planner spaces lines on bed-measured widths: footprints over cos(alpha)
     k_width = (reach_deep + reach_shallow) / math.cos(a)
@@ -271,3 +277,29 @@ def width_rows_document(rows: list, labels: list[str], sig: int) -> list[dict]:
         }
         for heading, row in rows
     ]
+
+
+def verify_read_whole(path, cfg) -> tuple[int, str, str]:
+    """``verify``'s status, stdout and stderr for the plan file at ``path`` as
+    the command made them when it read the file whole: its text, then
+    ``read_plan``, then ``verify_plan``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        return 2, "", f"error: cannot read plan file: {err}\n"
+    try:
+        plan = read_plan(text, cfg.region)
+        result = verify_plan(plan, cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max)
+    except PlanParseError as err:
+        return 2, "", f"error: {err}\n"
+    except PlanningError as err:
+        return 1, "", f"error: {err}\n"
+    out = "".join(f"finding: {finding}\n" for finding in result.findings)
+    if not result.passed:
+        return 1, f"{out}FAIL: {len(result.findings)} finding(s)\n", ""
+    pairs = len(result.report.pairwise_overlap_ratios)
+    return 0, (
+        f"{out}PASS: {plan.line_count} lines cover the region; {pairs} adjacent pairs "
+        f"inside [{cfg.eta_min:g}, {cfg.eta_max:g}] with slack\n"
+    ), ""

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from swathplan import planfile, planner
-from swathplan.cli import main
+from swathplan import chunks, planner
+from swathplan.cli import main, parse_args
 from swathplan.config import load_config, sig_spec
 from swathplan.errors import BeamGrazeError, PlanningError
 from swathplan.geometry import (
@@ -35,7 +35,10 @@ from swathplan.geometry import (
     width_table,
 )
 from swathplan.jsonwriter import width_rows_json
+from swathplan.planfile import write_plan_csv
 from swathplan.stripes import WORKER_CELLS, printable_widths, width_chunks, width_rows_csv
+
+from oracles import verify_read_whole
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -905,7 +908,7 @@ def test_verify_writes_findings_a_batch_at_a_time(tmp_path, monkeypatch):
     lines = stdout.getvalue().splitlines()
     assert lines[-1] == f"FAIL: {len(lines) - 1} finding(s)"
     assert all(line.startswith("finding: ") for line in lines[:-1])
-    findings, size = len(lines) - 1, planfile.ROWS_PER_CHUNK
+    findings, size = len(lines) - 1, chunks.ROWS_PER_CHUNK
     assert findings > 2 * size
     batches = [size] * (findings // size) + [findings % size] * (findings % size > 0)
     assert [chunk.count("\n") for chunk in stdout.chunks] == [*batches, 1]
@@ -974,6 +977,139 @@ def test_verify_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read plan file: 'utf-8' codec can't decode"), err
     assert err.count("\n") == 1
+
+
+# ------------------------------------------------ verify reads a CSV plan a line at a time
+
+
+def _streamed_and_whole(path, *flags: str) -> tuple[tuple, tuple]:
+    """``verify``'s (status, stdout, stderr) on the plan file at ``path``, in
+    process, and as reading the file whole made them (``verify_read_whole``)."""
+    argv = ["verify", str(path), *flags]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    _, given, overrides = parse_args(argv)
+    return (code, out.getvalue(), err.getvalue()), verify_read_whole(
+        path, load_config(given.get("--config"), overrides)
+    )
+
+
+GOLDEN_LINES = (GOLDEN / "plan.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("flags", [(), ("--eta", "0.5")], ids=["pass", "findings"])
+def test_verify_reads_crlf_as_lf(flags, tmp_path):
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes((GOLDEN / "plan.csv").read_bytes().replace(b"\n", b"\r\n"))
+    streamed, whole = _streamed_and_whole(crlf, *flags)
+    assert streamed == whole == _streamed_and_whole(GOLDEN / "plan.csv", *flags)[0]
+    assert streamed[0] == (1 if flags else 0)
+
+
+@pytest.mark.parametrize("refused_row_first", [False, True], ids=["rows", "refused-row"])
+def test_verify_refuses_a_byte_past_the_first_block_that_is_not_utf8(refused_row_first, tmp_path):
+    # the file is read in 8 KiB blocks: a bad byte at 50,000 comes long after
+    # the first rows are audited, and a refused row before it still loses
+    cfg = load_config(None, {"eta_target": 0.99})
+    plan = planner.plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    text = write_plan_csv(plan, cfg.region.edge_offset_d1, cfg.precision).encode()
+    if refused_row_first:
+        text = text.replace(b"\n", b"\nabc,,1\n", 2)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text[:50_000] + b"\xff" + text[50_000:])
+    streamed, whole = _streamed_and_whole(path, "--eta", "0.99")
+    assert streamed[:2] == whole[:2] == (2, "")
+    for code, out, err in (streamed, whole):
+        assert err.startswith("error: cannot read plan file: 'utf-8' codec can't decode"), err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GOLDEN_LINES[0], "error: plan file has no placement rows\n"),
+        ("".join(GOLDEN_LINES[:1] + GOLDEN_LINES[-1:]), "error: plan file has no placement rows\n"),
+        ("# a comment\n\n   \n# summary: lines=0\n", "error: no header row found\n"),
+        (" \n\t\n", "error: empty plan file\n"),
+    ],
+    ids=["header", "header-and-summary", "no-header", "blank"],
+)
+def test_verify_refuses_a_file_with_no_row(text, message, tmp_path):
+    path = tmp_path / "plan.csv"
+    path.write_text(text, encoding="utf-8")
+    streamed, whole = _streamed_and_whole(path)
+    assert streamed == whole == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "flags, row, message",
+    [
+        ((), "9000,0.1,10", "error: surfaced seabed: depth -28.681 m at x = 9000.000 m\n"),
+        (("--alpha-deg", "10", "--theta-deg", "170"), "", "error: beam grazes seabed: "),
+    ],
+    ids=["dry-bed", "grazing"],
+)
+@pytest.mark.parametrize("malformed", [False, True], ids=["audited", "malformed-after"])
+def test_verify_refuses_a_malformed_row_before_the_audit_refuses(
+    flags, row, message, malformed, tmp_path
+):
+    # the audit refuses a grazing fan or dry bed only once every row is read,
+    # so a malformed row later in the file is what the command reports
+    lines = GOLDEN_LINES[:3] + ([row + "\n"] if row else []) + GOLDEN_LINES[3:]
+    if malformed:
+        lines.insert(-1, "7400,0.1,4 6\n")
+    path = tmp_path / "plan.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    streamed, whole = _streamed_and_whole(path, *flags)
+    assert streamed == whole
+    if malformed:
+        line = len(lines) - 1
+        assert streamed == (2, "", f"error: line {line} width_m: not a number: '4 6'\n")
+    else:
+        assert streamed[:2] == (1, "") and streamed[2].startswith(message), streamed
+
+
+# every line break str.splitlines knows that iterating a file does not split on
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY, ids=[f"U+{ord(c):04X}" for c in SPLITLINES_ONLY])
+def test_verify_splits_lines_as_read_plan_does(sep, tmp_path):
+    rows = [line.rstrip("\n") for line in GOLDEN_LINES]
+    path = tmp_path / "plan.csv"
+    # rows 2-3 and 4-5 on one line of the file each: the same plan
+    joined = [rows[0], rows[1], rows[2] + sep + rows[3], rows[4] + sep + rows[5], *rows[6:]]
+    path.write_text("\n".join(joined) + "\n", encoding="utf-8", newline="")
+    streamed, whole = _streamed_and_whole(path)
+    assert streamed == whole == _streamed_and_whole(GOLDEN / "plan.csv")[0]
+    # a break at a line's end is a blank line: the refused row after it is one further on
+    text = "\n".join([rows[0], rows[1] + sep, "abc,,1", *rows[2:]]) + "\n"
+    path.write_text(text, encoding="utf-8", newline="")
+    line = text.splitlines().index("abc,,1") + 1
+    assert line == 4
+    streamed, whole = _streamed_and_whole(path)
+    assert streamed == whole == (2, "", f"error: line {line} x_m: not a number: 'abc'\n")
+    # a break inside a row splits it: each part is refused as read_plan refuses it
+    path.write_text("\n".join([rows[0], rows[1], "951.797," + sep + "0.1,632.222"]), "utf-8")
+    streamed, whole = _streamed_and_whole(path)
+    assert streamed == whole == (2, "", "error: line 3: expected 3 fields, got 2\n")
+
+
+@pytest.mark.parametrize("eta", ["0.99", "0.999"])
+def test_verify_memory_per_line(eta, tmp_path, cli_peak_rss_kib):
+    cfg = load_config(None, {"eta_target": float(eta)})
+    plan = planner.plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    lines = plan.line_count
+    path = tmp_path / "plan.csv"
+    path.write_text(write_plan_csv(plan, cfg.region.edge_offset_d1, cfg.precision), "utf-8")
+    floor_code, floor_kib = cli_peak_rss_kib("verify", "--help")
+    code, kib = cli_peak_rss_kib("verify", str(path), "--eta", eta)
+    assert (floor_code, code) == (0, 0)
+    # x and two cell indices a line come to about 130 B; the file's text,
+    # its line list and a placement a line, held at once, came to about 410
+    # B a line over the floor at 2,945 lines and 390 B at 29,435
+    assert (kib - floor_kib) * 1024 <= 256 * lines, (kib, floor_kib, lines)
 
 
 @pytest.mark.parametrize(
@@ -1458,13 +1594,13 @@ def _modules_loaded(*argv: str, status: int = 0) -> set[str]:
 # reads no JSON document, and every writer prints JSON from fixed templates.
 # Only verify compiles the plan reader and the audit, and only width-table
 # the stripes. Only the commands that plan compile the planner, and only
-# those that write or read a plan file the plan files (``verify`` reads it
-# through planfile.read_plan). Every command compiles the handlers, and a
-# launch that runs none (help, a usage error, a config error) compiles
-# neither them nor anything they import. The width-table worker is a bare
-# fork, with no process or pool library. The command line is read from
-# cli.FLAGS, with no parser library, whose messages would load gettext and,
-# through it, locale.
+# those that write a plan file the plan writers (``verify`` reads a plan
+# with the reader alone, and a CSV plan with no JSON parser). Every command
+# compiles the handlers, and a launch that runs none (help, a usage error, a
+# config error) compiles neither them nor anything they import. The
+# width-table worker is a bare fork, with no process or pool library. The
+# command line is read from cli.FLAGS, with no parser library, whose
+# messages would load gettext and, through it, locale.
 NEVER_LOADED = {"numpy", "dataclasses", "inspect", "copy", "argparse", "gettext", "locale"}
 READER, STRIPES = "swathplan.planreader", "swathplan.stripes"
 PLANNER, PLANFILE, VERIFIER = "swathplan.planner", "swathplan.planfile", "swathplan.verifier"
@@ -1477,7 +1613,7 @@ LAUNCH_IMPORTS = [
     (["plan", "--out", "PLAN"], PLAN_LOADS_NONE_OF),
     (["plan", "--alpha-deg", "1.2", "--eta", "0.2"], PLAN_LOADS_NONE_OF),
     (["plan", "--format", "json"], PLAN_LOADS_NONE_OF),
-    (["verify", "PLAN"], NEVER_LOADED | {STRIPES, PLANNER}),
+    (["verify", "PLAN"], NEVER_LOADED | {"json", STRIPES, PLANNER, PLANFILE, JSONWRITER}),
     (["width-table", "--headings-deg", "0,90", "--distances-nm", "0,1"], WIDTH_TABLE_LOADS_NONE_OF),
     (["width-table", "--format", "json"], WIDTH_TABLE_LOADS_NONE_OF),
     # 20,000 cells, so the worker runs

@@ -26,7 +26,7 @@ from oracles import (
     width_rows_document,
 )
 
-from swathplan import planfile, planner
+from swathplan import chunks as chunking, planner
 from swathplan.errors import PlanningError
 from swathplan.geometry import METERS_PER_NAUTICAL_MILE, TransducerSpec
 from swathplan.jsonwriter import _layout, plot_data_json, width_rows_json
@@ -140,7 +140,7 @@ def test_plan_writers_match_on_hand_built_plans(placements, length, d1, sig):
 
 def test_writer_properties_hold_at_two_rows_a_chunk():
     # a chunk boundary after every second row, and a last chunk of one row
-    with mock.patch.object(planfile, "ROWS_PER_CHUNK", 2):
+    with mock.patch.object(chunking, "ROWS_PER_CHUNK", 2):
         test_plan_writers_match_the_document_writers()
         test_plot_data_matches_the_document_writer()
         test_plan_writers_match_on_hand_built_plans()
@@ -159,7 +159,7 @@ def _plan_of(lines: int) -> SurveyPlan:
 @pytest.mark.parametrize("batches", [1, 2])
 def test_plan_and_plot_data_match_at_chunk_boundaries(extra, batches, region):
     # 1, B - 1, B, B + 1, 2B - 1, 2B and 2B + 1 lines, B rows a chunk
-    rows = planfile.ROWS_PER_CHUNK
+    rows = chunking.ROWS_PER_CHUNK
     for lines in {1, batches * rows + extra}:
         plan, d1, sig = _plan_of(lines), 12.5, 6
         assert write_plan_csv(plan, d1, sig) == plan_csv_text(plan, d1, sig)

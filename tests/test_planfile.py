@@ -7,9 +7,9 @@ import re
 
 import pytest
 
+from swathplan.errors import PlanParseError
 from swathplan.planfile import (
     PLAN_CSV_HEADER,
-    PlanParseError,
     plan_summary,
     read_plan,
     sig_spec,

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -15,23 +18,19 @@ from hypothesis import strategies as st
 
 from swathplan.errors import PlanningError, SurfacedSeabedError
 from swathplan import planner
+from swathplan.cli import main
+from swathplan.config import load_config
 from swathplan.geometry import (
     SwathCrossSection,
     TransducerSpec,
     effective_slope,
     swath_cross_section,
 )
-from swathplan.planfile import read_plan, write_plan_csv
+from swathplan.planfile import read_plan, write_plan_csv, write_plan_json
 from swathplan.planner import LinePlacement, SurveyPlan, SurveyRegion, plan_survey
-from swathplan.verifier import (
-    RATIO_SLACK,
-    _depths_and_reaches,
-    _raster,
-    rasterize_coverage,
-    verify_plan,
-)
+from swathplan.verifier import RATIO_SLACK, _fan, audit, rasterize_coverage, verify_plan
 
-from oracles import brute_force_next_line, exact_coverage
+from oracles import brute_force_next_line, exact_coverage, verify_read_whole
 
 FLAT_110 = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=110.0, slope_alpha=0.0)
 # depth chosen so a 120 deg fan spans exactly 400 m on a flat bed
@@ -101,14 +100,14 @@ def test_rasterize_ratio_converges_with_resolution(reference_plan, region, xdcr)
 
 def _footprint(region, xdcr, x):
     """(west end, east end) of the footprint of a line at x, from the verifier's model."""
-    (depth,), reach_deep, reach_shallow = _depths_and_reaches(region, xdcr, [x])
+    ta, reach_deep, reach_shallow = _fan(region, xdcr)
+    depth = region.west_edge_depth - x * ta
     return x - depth * reach_deep, x + depth * reach_shallow
 
 
 def _raster_of(plan, region, xdcr, n_cells):
     """The audit's raster of the plan on n_cells cells tiling the region."""
-    footprints = [_footprint(region, xdcr, p.x) for p in plan.placements]
-    return _raster(footprints, region.width_ew, n_cells)
+    return audit(plan.placements, region, xdcr, -math.inf, math.inf, [], n_cells)[2]
 
 
 def _coverage_by_definition(plan, region, xdcr, n_cells):
@@ -452,6 +451,87 @@ def test_rasterize_memory_per_line(region, xdcr):
         tracemalloc.stop()
     assert report.uncovered_intervals == ()
     assert peak < 200 * plan.line_count
+
+
+def _verify_in_process(*argv: str) -> tuple[int, str, str]:
+    """``main``'s status, stdout and stderr for ``verify`` with ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_verify_command_memory_per_line(tmp_path):
+    # the 2,945-line plan at overlap 0.99, audited straight from its file
+    # with no plan object alive: per line the audit keeps x (a 24 B float, 8
+    # B in its list) and two cell indices (28 B ints, 8 B each in their
+    # lists), 104 B before the lists' growth headroom. Reading the file's
+    # text, its line list and a placement per line first came to 316 B a line.
+    cfg = load_config(None, {"eta_target": 0.99})
+    plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    lines = plan.line_count
+    path = tmp_path / "plan.csv"
+    path.write_text(write_plan_csv(plan, cfg.region.edge_offset_d1, cfg.precision), "utf-8")
+    del plan
+    assert _verify_in_process(str(path), "--eta", "0.99")[0] == 0  # compiles the modules
+    tracemalloc.start()
+    try:
+        code, out, _ = _verify_in_process(str(path), "--eta", "0.99")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, lines) == (0, 2945)
+    assert out.startswith("PASS: 2945 lines cover the region; 2944 adjacent pairs ")
+    assert peak < 160 * lines, peak
+
+
+@st.composite
+def plan_files(draw):
+    """(config document, plan, format): a plan of plan_survey for a drawn
+    scenario, as planned, perturbed 1-3 times or with its lines reversed."""
+    alpha = draw(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 12.0))
+    width_nm = draw(st.floats(0.3, 1.5))
+    d1 = 0.5 * width_nm * 1852.0 * math.tan(math.radians(alpha))
+    doc = {
+        "region": {
+            "width_ew_nm": width_nm,
+            "length_ns_nm": 1.0,
+            "center_depth_m": d1 + draw(st.floats(40.0, 150.0)),
+            "slope_alpha_deg": alpha,
+        },
+        "transducer": {"opening_angle_deg": draw(st.floats(60.0, 150.0))},
+        "eta_target": draw(st.floats(0.05, 0.5)),
+    }
+    cfg = load_config(None, doc)
+    try:
+        plan = plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
+    except PlanningError:  # a fan too narrow to reach the west edge from the region
+        assume(False)
+    kind = draw(st.sampled_from(["planned", "perturbed", "reversed"]))
+    if kind == "perturbed":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        for _ in range(draw(st.integers(1, 3))):
+            if plan.placements:  # dropping the last line leaves a file with no row
+                plan = _perturbed(plan, rng)
+    elif kind == "reversed":
+        plan = _plan_of(plan.placements[::-1], cfg.region)
+    return doc, plan, draw(st.sampled_from(["csv", "json"]))
+
+
+@settings(deadline=None, max_examples=120)
+@given(plan_files())
+def test_verify_streamed_prints_what_the_whole_file_audit_prints(tmp_path_factory, drawn):
+    # verify feeds the file's rows straight into the audit; reading the whole
+    # text, then read_plan and verify_plan, must give the same status and text
+    doc, plan, fmt = drawn
+    tmp = tmp_path_factory.mktemp("streamed")
+    config, path = tmp / "config.json", tmp / f"plan.{fmt}"
+    config.write_text(json.dumps(doc), "utf-8")
+    cfg = load_config(str(config))
+    writer = write_plan_csv if fmt == "csv" else write_plan_json
+    path.write_text(writer(plan, cfg.region.edge_offset_d1, cfg.precision), "utf-8")
+    got = _verify_in_process(str(path), "--config", str(config))
+    assert got == verify_read_whole(path, cfg)
 
 
 def test_brute_force_flat_closed_form(xdcr):
