@@ -76,7 +76,9 @@ def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
 
     A CSV plan's rows go from the open file into the audit a line at a time,
     so neither the file's text nor a placement per line is held; a JSON
-    plan is parsed whole.
+    plan is parsed whole. A fault refuses the file when the read reaches
+    it, and the file is decoded 8 KiB at a time: a refused row comes before
+    a byte that is not UTF-8 in a later block.
     """
     from .chunks import batched
     from .planreader import plan_rows
@@ -84,16 +86,9 @@ def cmd_verify(given: dict[str, Any], cfg: ScenarioConfig) -> int:
 
     try:
         with open(given["PLAN"], encoding="utf-8") as fh:
-            try:
-                lines, findings, _ = audit(
-                    plan_rows(fh), cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max, None
-                )
-            except PlanParseError:
-                # a byte that is not UTF-8 further on still refuses the whole
-                # file first, as when the file was read whole
-                for _ in fh:
-                    pass
-                raise
+            lines, findings, _ = audit(
+                plan_rows(fh), cfg.region, cfg.transducer, cfg.eta_min, cfg.eta_max, None
+            )
     except (OSError, UnicodeDecodeError) as err:
         raise PlanParseError(f"cannot read plan file: {err}") from err
     if findings:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from io import StringIO
 
 from .chunks import PLAN_CSV_HEADER, batched
 from .config import sig_spec
@@ -112,10 +113,10 @@ def read_plan(text: str, region: SurveyRegion) -> SurveyPlan:
 
     The region supplies the line length; totals derive from the row count,
     so a hand-edited file still yields a consistent plan object. The rows
-    come from ``planreader.plan_rows``, which ``verify`` feeds straight from
-    the file into the audit.
+    come from ``planreader.plan_rows`` over the text's lines, split as the
+    open file that ``verify`` feeds the same parser is split.
     """
     from .planreader import plan_rows  # only a read compiles the parsers
 
-    rows = plan_rows(text.splitlines(keepends=True))
+    rows = plan_rows(StringIO(text, newline=None))
     return SurveyPlan(tuple(LinePlacement(*row) for row in rows), region.length_ns)

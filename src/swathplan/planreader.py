@@ -1,10 +1,13 @@
 """The plan file parsers: the rows of a CSV or JSON plan, each field checked.
 
-``plan_rows`` takes a plan file's lines, as iterating an open file gives
-them, and yields each row as ``(x, width, overlap)`` in ``LinePlacement``'s
-order. A CSV plan is read a line at a time, so ``verify`` audits it
-straight from the file; a JSON plan is parsed whole. The "line N x_m" text
-that names a row or a field is made only when it is refused.
+``plan_rows`` takes a plan file's lines and yields each row as
+``(x, width, overlap)`` in ``LinePlacement``'s order. A plan's lines are
+the lines a text file gives: "\\n", "\\r\\n" or "\\r" ends a line, and no
+other character does. ``verify`` iterates the open file and ``read_plan``
+an ``io.StringIO(text, newline=None)``, which splits a text as the file
+does. A CSV plan is read a line at a time, so ``verify`` audits it
+straight from the file; a JSON plan is parsed whole. The "line N x_m"
+text that names a row or a field is made only when it is refused.
 
 Only ``planfile.read_plan`` and the ``verify`` handler import this module,
 when they run, so only a command that reads a plan compiles it.
@@ -21,19 +24,22 @@ from .geometry import LinePlacement
 
 
 def plan_rows(lines: Iterable[str]) -> Iterator[tuple]:
-    """The rows of a plan file's lines, each line with its end.
+    """The rows of a plan file's lines, each line with its "\\n" end.
 
-    The format is sniffed from the first character that is not whitespace:
-    ``{`` or ``[`` is JSON, anything else CSV. A file with no such character
-    is refused, and so is one with no row; both before the first row is
-    returned. Any other refusal comes as the rows are read, at the first
-    refused row.
+    One byte order mark, which a spreadsheet's "CSV UTF-8" starts with, is
+    dropped. The format is sniffed from the first character that is not
+    whitespace: ``{`` or ``[`` is JSON, anything else CSV. A file with no
+    such character is refused, and so is one with no row; both before the
+    first row is returned. Any other refusal comes as the rows are read, at
+    the first refused row.
     """
     lines = iter(lines)
     head = []
     for line in lines:
+        if not head:
+            line = line.removeprefix("\ufeff")
         head.append(line)
-        if not line.isspace():
+        if line.strip():
             break
     else:
         raise PlanParseError("empty plan file")
@@ -73,19 +79,17 @@ def _placement(line: str, lineno: int) -> LinePlacement:
 
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[tuple]:
-    """The rows of a CSV plan's lines, numbered as ``str.splitlines`` numbers the text.
+    """The rows of a CSV plan's lines, each line numbered and read once.
 
-    A line of printable ASCII with no space or "_" is one line of the text,
-    already stripped, and ``float`` reads each of its fields only as the
-    file's rules allow: such a row is checked once a line and read with a
-    ``float`` call per field. Every other line (the header, blanks and
-    comments, any refused row, and lines holding whitespace, "_", non-ASCII
-    text or a line break other than "\\n") is split as ``str.splitlines``
-    splits it, and each part is stripped and read field by field.
+    A line of printable ASCII with no space or "_" is already stripped, and
+    ``float`` reads each of its fields only as the file's rules allow: such
+    a row is checked once a line and read with a ``float`` call per field.
+    Every other line (the header, blanks and comments, any refused row, and
+    lines holding whitespace, "_" or non-ASCII text) is stripped and read
+    field by field.
     """
     header_seen = False
-    shift = 0  # lines str.splitlines finds beyond one per line of ``lines``
-    for number, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if (
             header_seen
@@ -105,19 +109,17 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple]:
                 if x - x == 0.0 == width - width and (overlap is None or 0.0 <= overlap <= 1.0):
                     yield x, width, overlap
                     continue
-        for lineno, part in enumerate(raw.splitlines(), start=number + shift):
-            line = part.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header_seen:
-                yield _placement(line, lineno)
-            elif line == PLAN_CSV_HEADER:
-                header_seen = True
-            else:
-                raise PlanParseError(
-                    f"line {lineno}: expected header {PLAN_CSV_HEADER!r}, got {line!r}"
-                )
-        shift = lineno - number
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header_seen:
+            yield _placement(line, lineno)
+        elif line == PLAN_CSV_HEADER:
+            header_seen = True
+        else:
+            raise PlanParseError(
+                f"line {lineno}: expected header {PLAN_CSV_HEADER!r}, got {line!r}"
+            )
     if not header_seen:
         raise PlanParseError("no header row found")
 

@@ -1010,7 +1010,8 @@ def test_verify_reads_crlf_as_lf(flags, tmp_path):
 @pytest.mark.parametrize("refused_row_first", [False, True], ids=["rows", "refused-row"])
 def test_verify_refuses_a_byte_past_the_first_block_that_is_not_utf8(refused_row_first, tmp_path):
     # the file is read in 8 KiB blocks: a bad byte at 50,000 comes long after
-    # the first rows are audited, and a refused row before it still loses
+    # the first rows are audited, so a refused row before it is the fault
+    # reported, while the whole text is decoded before any row is read
     cfg = load_config(None, {"eta_target": 0.99})
     plan = planner.plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
     text = write_plan_csv(plan, cfg.region.edge_offset_d1, cfg.precision).encode()
@@ -1019,8 +1020,13 @@ def test_verify_refuses_a_byte_past_the_first_block_that_is_not_utf8(refused_row
     path = tmp_path / "bad.csv"
     path.write_bytes(text[:50_000] + b"\xff" + text[50_000:])
     streamed, whole = _streamed_and_whole(path, "--eta", "0.99")
-    assert streamed[:2] == whole[:2] == (2, "")
-    for code, out, err in (streamed, whole):
+    if refused_row_first:
+        assert streamed == (2, "", "error: line 2 x_m: not a number: 'abc'\n")
+        results = [whole]
+    else:
+        results = [streamed, whole]
+    for code, out, err in results:
+        assert (code, out) == (2, "")
         assert err.startswith("error: cannot read plan file: 'utf-8' codec can't decode"), err
         assert err.count("\n") == 1
 
@@ -1070,30 +1076,71 @@ def test_verify_refuses_a_malformed_row_before_the_audit_refuses(
         assert streamed[:2] == (1, "") and streamed[2].startswith(message), streamed
 
 
-# every line break str.splitlines knows that iterating a file does not split on
+# the line breaks str.splitlines knows that end no line of a text file
 SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+GOLDEN_ROWS = [line.rstrip("\n") for line in GOLDEN_LINES]
+LINE_ENDS = ["\n", "\r\n", "\r"]  # what ends a line of a text file
 
 
 @pytest.mark.parametrize("sep", SPLITLINES_ONLY, ids=[f"U+{ord(c):04X}" for c in SPLITLINES_ONLY])
 def test_verify_splits_lines_as_read_plan_does(sep, tmp_path):
-    rows = [line.rstrip("\n") for line in GOLDEN_LINES]
+    rows = GOLDEN_ROWS
     path = tmp_path / "plan.csv"
-    # rows 2-3 and 4-5 on one line of the file each: the same plan
-    joined = [rows[0], rows[1], rows[2] + sep + rows[3], rows[4] + sep + rows[5], *rows[6:]]
-    path.write_text("\n".join(joined) + "\n", encoding="utf-8", newline="")
+    # inside a row it is one more character of that row's one line, which is refused
+    for row, message in [
+        (rows[2] + sep + rows[3], "line 3: expected 3 fields, got 5"),
+        ("951.797," + sep + "0.1,632.222", f"line 3 overlap: not a number: {sep + '0.1'!r}"),
+    ]:
+        path.write_text("\n".join([*rows[:2], row, *rows[4:]]) + "\n", "utf-8", newline="")
+        streamed, whole = _streamed_and_whole(path)
+        assert streamed == whole == (2, "", f"error: {message}\n")
+    # at either end of a line it is stripped as whitespace: the same plan
+    path.write_text("".join(sep + row + sep + "\n" for row in rows), "utf-8", newline="")
     streamed, whole = _streamed_and_whole(path)
     assert streamed == whole == _streamed_and_whole(GOLDEN / "plan.csv")[0]
-    # a break at a line's end is a blank line: the refused row after it is one further on
+    # and it ends no line: the refused row after it is on the next line of the file
     text = "\n".join([rows[0], rows[1] + sep, "abc,,1", *rows[2:]]) + "\n"
     path.write_text(text, encoding="utf-8", newline="")
-    line = text.splitlines().index("abc,,1") + 1
-    assert line == 4
     streamed, whole = _streamed_and_whole(path)
-    assert streamed == whole == (2, "", f"error: line {line} x_m: not a number: 'abc'\n")
-    # a break inside a row splits it: each part is refused as read_plan refuses it
-    path.write_text("\n".join([rows[0], rows[1], "951.797," + sep + "0.1,632.222"]), "utf-8")
-    streamed, whole = _streamed_and_whole(path)
-    assert streamed == whole == (2, "", "error: line 3: expected 3 fields, got 2\n")
+    assert streamed == whole == (2, "", "error: line 3 x_m: not a number: 'abc'\n")
+
+
+@settings(
+    deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    ends=st.lists(st.sampled_from(LINE_ENDS), min_size=len(GOLDEN_ROWS), max_size=len(GOLDEN_ROWS)),
+    inserted=st.none() | st.tuples(
+        st.sampled_from(SPLITLINES_ONLY), st.integers(0, len(GOLDEN_ROWS) - 1), st.integers(0, 80)
+    ),
+    flags=st.sampled_from([(), ("--eta", "0.5")]),
+)
+def test_verify_reads_every_line_end_as_read_plan_does(ends, inserted, flags, tmp_path):
+    # "\n", "\r\n" and "\r" each end a line, and a break only str.splitlines
+    # knows, put anywhere in a row, ends none: the file reads as its whole text
+    rows = list(GOLDEN_ROWS)
+    if inserted is not None:
+        sep, i, at = inserted
+        at = min(at, len(rows[i]))
+        rows[i] = rows[i][:at] + sep + rows[i][at:]
+    path = tmp_path / "plan.csv"
+    text = "".join(row + end for row, end in zip(rows, ends))
+    path.write_text(text, encoding="utf-8", newline="")
+    streamed, whole = _streamed_and_whole(path, *flags)
+    assert streamed == whole
+    if inserted is None:
+        assert streamed == _streamed_and_whole(GOLDEN / "plan.csv", *flags)[0]
+
+
+@pytest.mark.parametrize("flags", [(), ("--eta", "0.5")], ids=["pass", "findings"])
+@pytest.mark.parametrize("name", ["plan.csv", "plan.json"])
+def test_verify_reads_a_plan_that_starts_with_a_byte_order_mark(name, flags, tmp_path):
+    # as a spreadsheet saves "CSV UTF-8"
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / name).read_bytes())
+    streamed, whole = _streamed_and_whole(path, *flags)
+    assert streamed == whole == _streamed_and_whole(GOLDEN / name, *flags)[0]
+    assert streamed[0] == (1 if flags else 0)
 
 
 @pytest.mark.parametrize("eta", ["0.99", "0.999"])
