@@ -158,7 +158,8 @@ def load_config(path: str | None, overrides: dict[str, Any] | None = None) -> Sc
 
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                # one byte order mark, as a plan file may start with, is dropped
+                raw = json.loads(fh.read().removeprefix("\ufeff"))
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
         # JSONDecodeError, an integer literal too long to convert, bytes that

@@ -166,13 +166,6 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
                 f"too many lines: the plan needs {float(count):.4g} lines, "
                 f"more than the {MAX_LINES:,} allowed"
             )
-        d, w = section.local_depth, section.total_width
-        # LinePlacement refuses a non-finite x or width: a swath past the
-        # largest double is a plan that cannot be made, not a crash
-        try:
-            placements.append(LinePlacement(x, w, None))
-        except ValueError as err:
-            raise PlanningError(f"plan overflows: line 1: {err}") from err
         # With width K * depth and depth falling by tan(alpha) per meter,
         # the overlap 1 - step / w_mean is linear in the step:
         #
@@ -182,9 +175,22 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         # Each line carries (x, d, w): its depth and its width d*k_d + d*k_s.
         # swath_cross_section scales the unit halves the same way, so these
         # are the floats swath_at(x) returns, bit for bit, without re-solving
-        # the law of sines. Place lines until one's horizontal shallow edge
-        # reaches the east boundary.
-        while x + d * reach < region.width_ew:
+        # the law of sines.
+        d, w, achieved = section.local_depth, section.total_width, None
+        while True:
+            # Every line is placed here. LinePlacement refuses a non-finite x
+            # or width: a swath past the largest double is a plan that cannot
+            # be made, not a crash. achieved is None on the first line and in
+            # [eta, 1) after it, so only the finiteness check can refuse.
+            try:
+                placements.append(LinePlacement(x, w, achieved))
+            except ValueError as err:
+                raise PlanningError(
+                    f"plan overflows: line {len(placements) + 1}: {err}"
+                ) from err
+            # done once a line's horizontal shallow edge reaches the east boundary
+            if not x + d * reach < region.width_ew:
+                break
             # No step exists once (1 - eta) * K * tan(alpha) / 2 >= 1: the bed
             # would surface at or before the position the target asks for.
             if half_drop >= 1.0:
@@ -193,27 +199,22 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
                     f"{region.west_edge_depth / ta:.3f} m "
                     f"before the overlap can drop to {eta_target:g}"
                 )
-            x_next = x + free * d / step_den
-            d_next = depth_at_x(region, x_next)
-            w_next = d_next * k_d + d_next * k_s
             # nudge west by ulps until the achieved overlap never undershoots
-            while (achieved := 1.0 - (x_next - x) / (0.5 * (w + w_next))) < eta_target:
-                x_next = math.nextafter(x_next, -math.inf)
+            x_next = x + free * d / step_den
+            while True:
                 d_next = depth_at_x(region, x_next)
                 w_next = d_next * k_d + d_next * k_s
+                achieved = 1.0 - (x_next - x) / (0.5 * (w + w_next))
+                # a NaN overlap, from an x past the largest double, ends it too
+                if not achieved < eta_target:
+                    break
+                x_next = math.nextafter(x_next, -math.inf)
             # a target near 1 over a nearly dry east edge shrinks the step
             # below 1e-9 of x; stop here instead of placing billions of lines
             if x_next - x <= 1e-9 * max(1.0, x):
                 raise RegionExhaustedError(
                     f"region exhausted: placement stalled at x = {x:.3f} m"
                 )
-            # achieved lies in [eta, 1), so only the finiteness check can refuse
-            try:
-                placements.append(LinePlacement(x_next, w_next, achieved))
-            except ValueError as err:
-                raise PlanningError(
-                    f"plan overflows: line {len(placements) + 1}: {err}"
-                ) from err
             x, d, w = x_next, d_next, w_next
     except PlanningError as err:
         if placements:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from typing import NoReturn
 
 from .chunks import PLAN_CSV_HEADER
 from .errors import PlanParseError
@@ -64,8 +65,8 @@ def _parse_float(text: str, lineno: int, name: str) -> float:
         raise PlanParseError(f"line {lineno} {name}: not a number: {text!r}") from err
 
 
-def _placement(line: str, lineno: int) -> LinePlacement:
-    """The placement on stripped data line ``lineno``, or the refusal that names its fault."""
+def _refusal(line: str, lineno: int) -> NoReturn:
+    """Raise the error that names the fault of refused data line ``lineno``, stripped."""
     fields = line.split(",")
     if len(fields) != 3:
         raise PlanParseError(f"line {lineno}: expected 3 fields, got {len(fields)}")
@@ -73,24 +74,24 @@ def _placement(line: str, lineno: int) -> LinePlacement:
     overlap = None if fields[1] == "" else _parse_float(fields[1], lineno, "overlap")
     width = _parse_float(fields[2], lineno, "width_m")
     try:
-        return LinePlacement(x, width, overlap)
+        LinePlacement(x, width, overlap)
     except ValueError as err:
         raise PlanParseError(f"line {lineno}: {err}") from err
+    raise AssertionError(f"line {lineno}: the row test refused a placement")
 
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[tuple]:
-    """The rows of a CSV plan's lines, each line numbered and read once.
+    """The rows of a CSV plan's lines, each line numbered, stripped and read once.
 
-    A line of printable ASCII with no space or "_" is already stripped, and
-    ``float`` reads each of its fields only as the file's rules allow: such
-    a row is checked once a line and read with a ``float`` call per field.
-    Every other line (the header, blanks and comments, any refused row, and
-    lines holding whitespace, "_" or non-ASCII text) is stripped and read
-    field by field.
+    A data line is a row when it is printable ASCII with no space or "_"
+    and its three fields read with one ``float`` call each as finite x and
+    width and an empty or [0, 1] overlap. This is the only test that
+    accepts a row. Blank lines and "#" comments are skipped, and any other
+    line after the header is refused by ``_refusal``, which names its fault.
     """
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+        line = raw.strip()
         if (
             header_seen
             and line.isascii()
@@ -109,11 +110,10 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[tuple]:
                 if x - x == 0.0 == width - width and (overlap is None or 0.0 <= overlap <= 1.0):
                     yield x, width, overlap
                     continue
-        line = line.strip()
         if not line or line.startswith("#"):
             continue
         if header_seen:
-            yield _placement(line, lineno)
+            _refusal(line, lineno)
         elif line == PLAN_CSV_HEADER:
             header_seen = True
         else:

@@ -75,6 +75,24 @@ def test_malformed_files_rejected(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
+    doc = {"region": {"center_depth_m": 90.0}, "eta_target": 0.2}
+    plain = load_config(write_config(tmp_path, doc))
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
+    assert load_config(str(path)) == plain
+    # only one mark is dropped, and bytes that are not UTF-8 are still refused
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf{}")
+    with pytest.raises(ConfigError, match="^config is not valid JSON: Unexpected UTF-8 BOM"):
+        load_config(str(path))
+    path.write_bytes(b'{"eta_target": \xff0.2}')
+    with pytest.raises(
+        ConfigError,
+        match="^config is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 15",
+    ):
+        load_config(str(path))
+
+
 def test_invalid_values_rejected(tmp_path):
     bad_docs = [
         {"eta_target": 1.5},

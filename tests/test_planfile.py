@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from swathplan.cli import main
 from swathplan.errors import PlanParseError
 from swathplan.planfile import (
     PLAN_CSV_HEADER,
@@ -17,6 +19,8 @@ from swathplan.planfile import (
     write_plan_json,
 )
 from swathplan.planner import LinePlacement, SurveyPlan
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_sig_spec_trims_to_significant_digits():
@@ -128,3 +132,19 @@ def test_read_plan_skips_comments_and_blanks(region, reference_plan):
     text = write_plan_csv(reference_plan, d1, 6)
     noisy = "# leading note\n\n" + text + "\n# trailing note\n"
     assert read_plan(noisy, region).line_count == 34
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [(" ", ""), ("", "\t"), (" \t", "  "), ("\f", " \f"), ("\t\f ", "\x0b")],
+    ids=["space-before", "tab-after", "space-tab", "form-feed", "mixed"],
+)
+def test_padded_plan_reads_and_verifies_as_the_golden_plan(before, after, region, tmp_path, capsys):
+    # stripped once, a padded row takes the one test that accepts a row
+    text = (GOLDEN / "plan.csv").read_text(encoding="utf-8")
+    padded = "".join(f"{before}{line}{after}\n" for line in text.splitlines())
+    assert read_plan(padded, region) == read_plan(text, region)
+    path = tmp_path / "padded.csv"
+    path.write_text(padded, encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr() == ((GOLDEN / "verify.txt").read_text(encoding="utf-8"), "")
