@@ -38,6 +38,14 @@ class RegionExhaustedError(PlanningError):
     """The seabed surfaces before line placement can finish covering the region."""
 
 
+class TooManyLinesError(PlanningError):
+    """The plan's closed-form line count is past ``planner.MAX_LINES``."""
+
+
+class PlanOverflowError(PlanningError):
+    """A line's position or swath width overflows the doubles."""
+
+
 class PlanParseError(ValueError):
     """Plan file rejected: wrong shape, header or field values."""
 

@@ -29,8 +29,10 @@ import math
 from .errors import (
     NoFeasibleStartError,
     PlanningError,
+    PlanOverflowError,
     RegionExhaustedError,
     SurfacedSeabedError,
+    TooManyLinesError,
 )
 from .geometry import (
     LinePlacement,
@@ -162,7 +164,7 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
         while x - (section := swath_at(region, xdcr, x)).half_deep * ca > 0.0:
             x = math.nextafter(x, -math.inf)
         if (count := _line_count(region, reach, free, x)) > MAX_LINES:
-            raise PlanningError(
+            raise TooManyLinesError(
                 f"too many lines: the plan needs {float(count):.4g} lines, "
                 f"more than the {MAX_LINES:,} allowed"
             )
@@ -185,7 +187,7 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
             try:
                 placements.append(LinePlacement(x, w, achieved))
             except ValueError as err:
-                raise PlanningError(
+                raise PlanOverflowError(
                     f"plan overflows: line {len(placements) + 1}: {err}"
                 ) from err
             # done once a line's horizontal shallow edge reaches the east boundary
@@ -199,13 +201,16 @@ def plan_survey(region: SurveyRegion, xdcr: TransducerSpec, eta_target: float) -
                     f"{region.west_edge_depth / ta:.3f} m "
                     f"before the overlap can drop to {eta_target:g}"
                 )
-            # nudge west by ulps until the achieved overlap never undershoots
+            # nudge west by ulps until the achieved overlap never undershoots.
+            # An x past the largest double has no depth (on a dipping bed
+            # depth_at_x(inf) is -inf, not a dry bed): it keeps a NaN depth
+            # and width, and the placement refuses it as an overflow.
             x_next = x + free * d / step_den
-            while True:
+            d_next = w_next = achieved = math.nan
+            while x_next < math.inf:
                 d_next = depth_at_x(region, x_next)
                 w_next = d_next * k_d + d_next * k_s
                 achieved = 1.0 - (x_next - x) / (0.5 * (w + w_next))
-                # a NaN overlap, from an x past the largest double, ends it too
                 if not achieved < eta_target:
                     break
                 x_next = math.nextafter(x_next, -math.inf)

@@ -10,6 +10,7 @@ import math
 import os
 import pstats
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from swathplan import chunks, planner
 from swathplan.cli import main, parse_args
 from swathplan.config import load_config, sig_spec
-from swathplan.errors import BeamGrazeError, PlanningError
+from swathplan.errors import BeamGrazeError, PlanningError, PlanOverflowError
 from swathplan.geometry import (
     METERS_PER_NAUTICAL_MILE,
     Distances,
@@ -41,6 +42,7 @@ from swathplan.stripes import WORKER_CELLS, printable_widths, width_chunks, widt
 from oracles import verify_read_whole
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -748,14 +750,22 @@ def test_plan_stalled_placement_exits_1():
 
 
 # a swath past the largest double: its width overflows on the first line, or
-# the second line's step carries x to inf over a flat bed (depth nan there)
+# the second line's step carries x to inf, over a flat bed (depth nan there)
+# or a dipping one (depth -inf there, which is no dry bed)
 OVERFLOWING_PLANS = {
     "first_width": (
-        "1e306", "error: plan overflows: line 1: line x and width must be finite, "
+        ("9e304", "1e306", "179", "0"),
+        "error: plan overflows: line 1: line x and width must be finite, "
         "got 1.145886501293096e+308, inf", None,
     ),
     "second_x": (
-        "7e305", "error: plan overflows: line 2: line x and width must be finite, "
+        ("9e304", "7e305", "179", "0"),
+        "error: plan overflows: line 2: line x and width must be finite, "
+        "got inf, nan", "partial plan (1 lines):",
+    ),
+    "second_x_dipping": (
+        ("9.5e304", "4.04e307", "120", "1e-300"),
+        "error: plan overflows: line 2: line x and width must be finite, "
         "got inf, nan", "partial plan (1 lines):",
     ),
 }
@@ -764,16 +774,20 @@ OVERFLOWING_PLANS = {
 @pytest.mark.parametrize("command", ["plan", "plot-data"])
 @pytest.mark.parametrize("case", list(OVERFLOWING_PLANS))
 def test_plan_whose_swath_overflows_exits_1(command, case):
-    depth, error, partial = OVERFLOWING_PLANS[case]
-    proc = run_cli(
-        command, "--region-ew-nm", "9e304", "--center-depth-m", depth,
-        "--theta-deg", "179", "--alpha-deg", "0", timeout=60,
-    )
+    (width_nm, depth, theta, alpha), error, partial = OVERFLOWING_PLANS[case]
+    flags = ["--region-ew-nm", width_nm, "--center-depth-m", depth,
+             "--theta-deg", theta, "--alpha-deg", alpha]
+    proc = run_cli(command, *flags, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [error]
     assert (partial in proc.stderr) if partial else "partial plan" not in proc.stderr
     assert "Traceback" not in proc.stderr
+    # the planner refuses it by its own type
+    _, _, overrides = parse_args([command, *flags])
+    cfg = load_config(None, overrides)
+    with pytest.raises(PlanOverflowError):
+        planner.plan_survey(cfg.region, cfg.transducer, cfg.eta_target)
 
 
 def test_refused_plan_prints_its_partial_lines_as_the_plan_file_would():
@@ -1373,6 +1387,19 @@ def test_dense_plan_reaches_a_pipe_whole():
     assert proc.stdout.count("\n") == 2947  # the header, the rows and the summary
 
 
+@pytest.mark.parametrize(
+    "argv", [["plan"], ["plan", "--format", "json"], ["plot-data"]], ids=["csv", "json", "plot"]
+)
+def test_dense_output_to_a_file_is_what_stdout_prints(argv, tmp_path, capsys):
+    # the 2,945 lines at overlap 0.99 are written as 30 chunks
+    assert main([*argv, "--eta", "0.99"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([*argv, "--eta", "0.99", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == printed
+    assert printed.count("\n") > 29 * chunks.ROWS_PER_CHUNK
+
+
 def test_main_in_process_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert main(["plan"]) == 0
@@ -1692,6 +1719,43 @@ def test_launches_load_only_what_they_run(tmp_path):
         loaded = _modules_loaded(*[missing if a == "MISSING" else a for a in argv], status=status)
         assert "swathplan.cli" in loaded, argv
         assert not loaded & RUNS_NO_COMMAND, (argv, sorted(loaded & RUNS_NO_COMMAND))
+
+
+# README's launch table names concrete launches; these two exit 2
+TABLE_STATUS = {"plan --no-such-flag": 2, "plan --config missing.json": 2}
+
+
+def _launch_table() -> tuple[set[str], list[tuple[list[str], set[str]]]]:
+    """README's launch table: the swathplan modules every launch loads (from
+    its header), then each row's launches and the modules they load besides."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| launch | loads"))
+
+    def modules(cell: str) -> set[str]:
+        return {f"swathplan.{name}" for name in re.findall(r"`(\w+)`", cell)}
+
+    every = modules(lines[start].split("|")[2])
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        _, launches, loads, _ = line.split("|")
+        rows.append((re.findall(r"`([^`]+)`", launches), modules(loads)))
+    return every, rows
+
+
+def test_readme_launch_table_is_what_each_launch_loads(tmp_path):
+    every, rows = _launch_table()
+    swaps = {"plan.csv": str(GOLDEN / "plan.csv"), "missing.json": str(tmp_path / "missing.json")}
+    launched = set()
+    for launches, expected in rows:
+        for launch in launches:
+            argv = [swaps.get(arg, arg) for arg in launch.split()]
+            loaded = _modules_loaded(*argv, status=TABLE_STATUS.get(launch, 0))
+            ours = {name for name in loaded if name.startswith("swathplan.")}
+            assert ours == every | expected, (launch, sorted(ours ^ (every | expected)))
+            launched.add(argv[0])
+    assert set(COMMANDS) <= launched
 
 
 # ------------------------------------------------- flags and config file agree

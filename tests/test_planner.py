@@ -14,8 +14,10 @@ from oracles import admissible_bounds, decimal_greedy_count
 from swathplan.errors import (
     NoFeasibleStartError,
     PlanningError,
+    PlanOverflowError,
     RegionExhaustedError,
     SurfacedSeabedError,
+    TooManyLinesError,
 )
 from swathplan import planner
 from swathplan.geometry import TransducerSpec, swath_cross_section
@@ -245,15 +247,33 @@ def test_plan_survey_refuses_a_plan_over_the_line_limit(region, xdcr, monkeypatc
     # 1 mm deep, the 7,408 m flat region needs 2,376,117 lines of 3.5 mm swaths;
     # the count refuses it before any line is placed
     puddle = SurveyRegion(width_ew=7408.0, length_ns=3704.0, center_depth=0.001, slope_alpha=0.0)
-    with pytest.raises(PlanningError, match="too many lines: the plan needs 2.376e\\+06") as exc:
+    with pytest.raises(TooManyLinesError, match="too many lines: the plan needs 2.376e\\+06") as exc:
         plan_survey(puddle, xdcr, 0.10)
     assert exc.value.partial_plan is None
     # the limit itself is allowed
     monkeypatch.setattr(planner, "MAX_LINES", 34)
     assert plan_survey(region, xdcr, 0.10).line_count == 34
     monkeypatch.setattr(planner, "MAX_LINES", 33)
-    with pytest.raises(PlanningError, match="too many lines"):
+    with pytest.raises(TooManyLinesError, match="too many lines"):
         plan_survey(region, xdcr, 0.10)
+    assert issubclass(TooManyLinesError, PlanningError)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-300])
+def test_plan_survey_refuses_an_x_past_the_largest_double_as_an_overflow(alpha):
+    # the second line's step carries x to inf. On a dipping bed depth_at_x(inf)
+    # is -inf, but that is an overflow, not a dry bed: every dip refuses it
+    # as the flat bed does, with the first line as the partial plan
+    huge = SurveyRegion(
+        width_ew=9.5e304 * 1852.0, length_ns=3704.0, center_depth=4.04e307, slope_alpha=alpha
+    )
+    fan = TransducerSpec(opening_angle_theta=120.0)
+    message = "plan overflows: line 2: line x and width must be finite, got inf, nan"
+    with pytest.raises(PlanOverflowError) as exc:
+        plan_survey(huge, fan, 0.10)
+    assert str(exc.value) == message
+    assert exc.value.partial_plan.line_count == 1
+    assert issubclass(PlanOverflowError, PlanningError)
 
 
 def test_plan_survey_attaches_partial_plan_on_late_failure(region):
